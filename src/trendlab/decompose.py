@@ -111,7 +111,6 @@ def oscillation_score(
     min_window: int = 10,
     threshold: float = 0.05,
     source: Optional[PriceSeries] = None,
-    stride: int = 1,
 ) -> OscillationReport:
     """Largest windowed mean of the fluctuation, relative to a scale.
 
@@ -120,9 +119,9 @@ def oscillation_score(
     given, else 1. The verdict is quickly_fluctuating iff score <=
     threshold.
 
-    Args:
-        stride: evaluate windows whose start and end lie on this grid
-            (1 = exhaustive; larger strides bound the score from below).
+    The score is exact, yet only lengths min_window..2*min_window-1 are
+    evaluated: a longer window splits into two parts of length >=
+    min_window, and its mean is a weighted average of theirs.
     """
     fluct = np.asarray(fluctuation, dtype=float)
     if fluct.ndim != 1 or len(fluct) == 0:
@@ -130,16 +129,14 @@ def oscillation_score(
     n = len(fluct)
     if not 1 <= min_window <= n:
         raise ValueError(f"min_window must be in 1..{n}, got {min_window}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
 
     scale = float(np.mean(np.abs(source.values))) if source is not None else 1.0
     prefix = np.concatenate(([0.0], np.cumsum(fluct)))
     best = 0.0
-    for start in range(0, n - min_window + 1, stride):
-        ends = np.arange(start + min_window, n + 1, stride)
-        means = np.abs(prefix[ends] - prefix[start]) / (ends - start)
-        peak = float(means.max())
+    for length in range(min_window, min(2 * min_window - 1, n) + 1):
+        # division by a positive length is monotone, so dividing the
+        # largest |sum| yields the largest correctly rounded |mean|.
+        peak = float(np.abs(prefix[length:] - prefix[:-length]).max()) / length
         if peak > best:
             best = peak
     score = best / scale

@@ -8,6 +8,7 @@ step of the uniform trading-day grid.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Optional
@@ -40,6 +41,9 @@ class PriceSeries:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         if len(values) < 2:
             raise ValueError(f"need at least 2 samples, got {len(values)}")
+        if not np.all(np.isfinite(values)):
+            bad = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"non-finite price {float(values[bad])!r} at index {bad}")
         if not np.all(values > 0):
             bad = int(np.argmin(values > 0))
             raise ValueError(f"non-positive price {values[bad]!r} at index {bad}")
@@ -104,8 +108,9 @@ def load_prices(
         PriceSeries on the uniform trading-day grid, row order preserved.
 
     Raises:
-        ValueError: missing columns, unparsable rows, non-positive prices,
-            or non-monotone dates, with the offending row number.
+        ValueError: missing columns, unparsable rows, non-finite or
+            non-positive prices, or non-monotone dates, with the offending
+            row number.
     """
     values: list[float] = []
     dates: list[date] = []
@@ -130,6 +135,8 @@ def load_prices(
                 raise ValueError(
                     f"{path} row {row_no}: unparsable price {raw.get(price_col)!r}"
                 ) from exc
+            if not math.isfinite(price):
+                raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
             if not price > 0:
                 raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
             if dates and day <= dates[-1]:

@@ -1,6 +1,8 @@
 """Sliding decomposition and the windowed-mean oscillation score."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trendlab.decompose import (
     NOT_QUICKLY_FLUCTUATING,
@@ -13,6 +15,30 @@ from trendlab.kernels import EstimatorSpec, build_kernel_bank
 from trendlab.series_io import PriceSeries
 
 BANK = build_kernel_bank(EstimatorSpec())
+
+
+def brute_force_score(fluct: np.ndarray, min_window: int) -> float:
+    """Oracle: |window mean| over every window of length >= min_window."""
+    n = len(fluct)
+    prefix = np.concatenate(([0.0], np.cumsum(fluct)))
+    best = 0.0
+    for start in range(n - min_window + 1):
+        ends = np.arange(start + min_window, n + 1)
+        means = np.abs(prefix[ends] - prefix[start]) / (ends - start)
+        best = max(best, float(means.max()))
+    return best
+
+
+@st.composite
+def fluctuations(draw):
+    n = draw(st.integers(1, 80))
+    min_window = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        fluct = rng.normal(0.0, draw(st.sampled_from([1e-3, 1.0, 1e3])), n)
+    else:
+        fluct = rng.integers(-3, 4, n).astype(float)
+    return fluct, min_window
 
 
 class TestSlidingTrend:
@@ -123,20 +149,27 @@ class TestOscillationScore:
         assert report.scale == 200.0
         assert report.score == pytest.approx(1.0 / 200.0, rel=1e-12)
 
-    def test_stride_bounds_score_from_below(self):
-        rng = np.random.default_rng(16)
-        fluct = rng.normal(0.0, 1.0, 200)
-        full = oscillation_score(fluct, min_window=10, stride=1)
-        coarse = oscillation_score(fluct, min_window=10, stride=7)
-        assert coarse.score <= full.score + 1e-15
+    @settings(max_examples=300, deadline=None)
+    @given(fluctuations())
+    # the only maximal window has length 2L-1, the longest one evaluated
+    @example((np.array([1.0, 0.0, 1.0]), 2))
+    def test_matches_brute_force_oracle(self, case):
+        fluct, min_window = case
+        report = oscillation_score(fluct, min_window=min_window)
+        assert report.score == pytest.approx(
+            brute_force_score(fluct, min_window), rel=1e-12, abs=0.0
+        )
+
+    def test_long_series_bit_equal_to_oracle(self):
+        fluct = np.random.default_rng(3000).normal(0.0, 1.0, 3000)
+        report = oscillation_score(fluct, min_window=10)
+        assert report.score == brute_force_score(fluct, 10)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="nonempty one-dimensional"):
             oscillation_score(np.zeros(0))
         with pytest.raises(ValueError, match="min_window must be in 1..5"):
             oscillation_score(np.zeros(5), min_window=6)
-        with pytest.raises(ValueError, match="stride must be >= 1"):
-            oscillation_score(np.zeros(20), stride=0)
 
 
 class TestEmitDecomposition:

@@ -34,6 +34,11 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match="non-positive price"):
             PriceSeries("acme", np.array([1.0, -3.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_price(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite price .* at index 1"):
+            PriceSeries("acme", np.array([1.0, bad, 2.0]))
+
     def test_rejects_non_positive_spacing(self):
         with pytest.raises(ValueError, match="spacing must be positive"):
             PriceSeries("acme", np.array([1.0, 2.0]), spacing=0.0)
@@ -85,6 +90,13 @@ class TestLoadPrices:
         path = tmp_path / "bad.csv"
         path.write_text("Date,Close\n2021-01-01,10\n2021-01-02,-1\n")
         with pytest.raises(ValueError, match="non-positive price"):
+            load_prices(str(path))
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_price_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"Date,Close\n2021-01-01,10\n2021-01-02,{bad}\n")
+        with pytest.raises(ValueError, match=r"row 3: non-finite price"):
             load_prices(str(path))
 
     def test_non_monotone_dates_rejected(self, tmp_path):
