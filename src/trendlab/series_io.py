@@ -41,8 +41,9 @@ class PriceSeries:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         if len(values) < 2:
             raise ValueError(f"need at least 2 samples, got {len(values)}")
-        if not np.all(np.isfinite(values)):
-            bad = int(np.argmin(np.isfinite(values)))
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise ValueError(f"non-finite price {float(values[bad])!r} at index {bad}")
         if not np.all(values > 0):
             bad = int(np.argmin(values > 0))
