@@ -5,7 +5,11 @@ noise gains, and shows the closed-form three-sample case. Run from the
 repository root:
 
     python3 demos/01_kernel_gallery.py
+
+The default bank's weights are written to demos/out/kernel_weights.csv.
 """
+import os
+
 import numpy as np
 
 from trendlab import EstimatorSpec, build_kernel_bank, emit_weights, kernel_noise_gain
@@ -41,7 +45,9 @@ def main() -> None:
         print(f"  window {window:3d}: value-estimate noise gain "
               f"{kernel_noise_gain(bank, 0):.4f}")
 
-    out = "kernel_weights.csv"
+    out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+    os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, "kernel_weights.csv")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(emit_weights(build_kernel_bank(EstimatorSpec())))
     print(f"\ndefault bank written to {out}")

@@ -5,7 +5,10 @@ as the first argument), extracts the sliding trend, and runs the
 quick-fluctuation test on the remainder.
 
     python3 demos/02_decompose_prices.py [prices.csv]
+
+The aligned tracks are written to demos/out/<series>_decomposition.csv.
 """
+import os
 import sys
 
 import numpy as np
@@ -54,7 +57,9 @@ def main() -> None:
     raw = oscillation_score(centered, min_window=10, threshold=0.05, source=series)
     print(f"raw centered prices score {raw.score:.5f}: {raw.verdict}")
 
-    out = f"{series.name}_decomposition.csv"
+    out_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
+    os.makedirs(out_dir, exist_ok=True)
+    out = os.path.join(out_dir, f"{series.name}_decomposition.csv")
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(emit_decomposition(dec))
     print(f"aligned tracks written to {out}")

@@ -47,8 +47,7 @@ class BacktestConfig:
 
     def min_samples(self) -> int:
         """Smallest series length with at least one scorable origin."""
-        w = self.spec_slow.window
-        return 2 * (w - 1) + self.M + max(self.horizons) + 1
+        return fc.first_origin(self.spec_slow.window, self.M) + max(self.horizons) + 1
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,9 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     """Run the forecast pipeline at every valid origin and score it.
 
     Estimator specs are rebuilt on the series' own spacing. Origins start
-    at 2*(W_slow - 1) + M, the first index where the slow bank, the
-    moment window, and a slow-bank window over the std track all fit.
+    at forecast.first_origin(W_slow, M), the first index where the slow
+    bank, the moment window, and a slow-bank window over the std track
+    all fit.
 
     Raises:
         ValueError: series shorter than config.min_samples().
@@ -128,8 +128,7 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     fast = sliding_trend(series, build_kernel_bank(spec_fast))
     track = moment_tracks(slow.fluctuation, config.M)
 
-    w = spec_slow.window
-    t_min = 2 * (w - 1) + config.M
+    t_min = fc.first_origin(spec_slow.window, config.M)
     prices = series.values
     results = []
     for h in config.horizons:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .backtest import BacktestConfig, emit_report, walk_forward
 from .decompose import emit_decomposition, oscillation_score, sliding_trend
-from .forecast import forecast_point
+from .forecast import first_origin, forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
 from .moments import emit_moments, moment_tracks
@@ -129,7 +129,7 @@ def _cmd_forecast(args: argparse.Namespace) -> list[str]:
     slow = sliding_trend(series, slow_bank)
     fast = sliding_trend(series, fast_bank)
     track = moment_tracks(slow.fluctuation, args.moment_window)
-    t_min = 2 * (slow_bank.spec.window - 1) + args.moment_window
+    t_min = first_origin(slow_bank.spec.window, args.moment_window)
     n = len(series)
     if t_min >= n:
         raise ValueError(f"series too short: need at least {t_min + 1} samples, got {n}")

@@ -129,6 +129,15 @@ def classify_position(price_hat: float, trend_hat: float, deadband: float) -> st
     return NO_DECISION
 
 
+def first_origin(slow_window: int, M: int) -> int:
+    """Smallest source index with the history forecast_point needs.
+
+    The slow trend starts after W-1 samples, the moment track after M
+    more, and a slow-bank window over the track needs W-1 more again.
+    """
+    return 2 * (slow_window - 1) + M
+
+
 def forecast_point(
     slow: Decomposition,
     fast: Decomposition,
@@ -143,7 +152,7 @@ def forecast_point(
     slow and fast must decompose the same source; track must be the
     moment track of the slow fluctuation. t is a source index with
     enough trailing history for the slow bank, the moment window, and a
-    slow-bank window over the track.
+    slow-bank window over the track: t >= first_origin(W_slow, M).
 
     Raises:
         ValueError: insufficient history at t.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -73,6 +73,23 @@ def _standard_normals(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return ndtri(u)
 
 
+def _price_blocks(params: GbmParams) -> Iterator[tuple[int, np.ndarray]]:
+    """The ensemble in consecutive row blocks of at most _CHUNK_VALUES
+    normals: yields (first row, prices at grid times 1..steps)."""
+    dt = params.t_end / params.steps
+    drift = (params.mu - 0.5 * params.sigma**2) * dt
+    vol = params.sigma * sqrt(dt)
+    rng = np.random.default_rng(params.seed)
+    rows_per_block = max(1, _CHUNK_VALUES // params.steps)
+    for lo in range(0, params.paths, rows_per_block):
+        rows = min(rows_per_block, params.paths - lo)
+        # No named block: the consumer holds the previous yield while this
+        # one is drawn, so a local kept here would add a block to the peak.
+        yield lo, params.s0 * np.exp(
+            np.cumsum(drift + vol * _standard_normals(rng, rows, params.steps), axis=1)
+        )
+
+
 def simulate_paths(params: GbmParams) -> np.ndarray:
     """Generate the full ensemble, shape (paths, steps+1), column 0 = s0.
 
@@ -80,17 +97,10 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
         S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) xi).
     Deterministic given params.seed.
     """
-    dt = params.t_end / params.steps
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * sqrt(dt)
-    rng = np.random.default_rng(params.seed)
     out = np.empty((params.paths, params.steps + 1))
     out[:, 0] = params.s0
-    rows_per_block = max(1, _CHUNK_VALUES // params.steps)
-    for lo in range(0, params.paths, rows_per_block):
-        hi = min(lo + rows_per_block, params.paths)
-        log_inc = drift + vol * _standard_normals(rng, hi - lo, params.steps)
-        out[lo:hi, 1:] = params.s0 * np.exp(np.cumsum(log_inc, axis=1))
+    for lo, prices in _price_blocks(params):
+        out[lo : lo + len(prices), 1:] = prices
     return out
 
 
@@ -124,20 +134,13 @@ def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    dt = params.t_end / params.steps
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * sqrt(dt)
     t = params.grid()
     mean_trend = params.s0 * np.exp(params.mu * t)
-    rng = np.random.default_rng(params.seed)
     exceed = 0
-    rows_per_block = max(1, _CHUNK_VALUES // params.steps)
-    for lo in range(0, params.paths, rows_per_block):
-        hi = min(lo + rows_per_block, params.paths)
-        log_inc = drift + vol * _standard_normals(rng, hi - lo, params.steps)
-        block = np.empty((hi - lo, params.steps + 1))
+    for _, prices in _price_blocks(params):
+        block = np.empty((len(prices), params.steps + 1))
         block[:, 0] = params.s0
-        block[:, 1:] = params.s0 * np.exp(np.cumsum(log_inc, axis=1))
+        block[:, 1:] = prices
         integrals = np.trapezoid(block - mean_trend, t, axis=1)
         exceed += int(np.count_nonzero(np.abs(integrals) > epsilon))
     p_hat = exceed / params.paths

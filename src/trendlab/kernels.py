@@ -1,21 +1,19 @@
 """Finite-window weight sequences estimating a signal's value and derivatives.
 
 The construction treats the signal on a sliding window as a degree-N
-polynomial observed through noise. Writing the window on normalized time
-u in [0, 1], an operational-calculus elimination (differentiate the
-transform-domain identity, then integrate enough times that every term
-becomes a genuine window integral) produces one integral equation per
-derivative order:
-
-    integral_0^1 P_a(u) x(u) du  =  sum_{v <= N-a} B[a, v] x^(v)(0),
-
-a triangular linear system in the derivatives x^(v)(0). Solving it yields
+polynomial observed through noise. On normalized window time u in [0, 1],
 density polynomials q_v with the reproducing property
 
-    integral_0^1 q_v(u) u^d du = v! * delta_{v d}   for d <= N,
+    integral_0^1 q_v(u) u^d du = v! * delta_{v d}   for d <= N
 
-so x^(v)(0) = integral q_v(u) x(u) du holds exactly for polynomial x. The
-densities are derived in exact rational arithmetic, discretized on the W
+give x^(v)(0) = integral q_v(u) x(u) du exactly for polynomial x. The
+algebraic (annihilator) estimators have q_v = (1-u)^(kappa-1) p_v with
+deg p_v <= N: p_v is the dual basis of the monomials under the Beta weight
+(1-u)^(kappa-1), a Jacobi family (Mboup, Join & Fliess, "Numerical
+differentiation with annihilators in noisy environment", Numer. Algorithms
+2009). In that space the N+1 reproducing conditions have exactly one
+solution, since their matrix is the Gram matrix of a positive weight. The
+densities are solved in exact rational arithmetic, discretized on the W
 sample offsets, and the discrete weights are then projected onto the
 affine set of weight sequences that reproduce monomials up to degree N
 exactly (minimum-norm correction), so discrete exactness is tight.
@@ -107,82 +105,39 @@ class KernelBank:
         return float(self.weights[order] @ values)
 
 
-def _density_polynomials(degree: int, margin: int) -> list[list[Fraction]]:
+def _density_polynomials(degree: int, smoothing: int) -> list[list[Fraction]]:
     """Exact-rational density polynomials q_0 .. q_N on u in [0, 1].
 
-    margin is the integration margin m (>= 2): every equation term is a
-    window integral of a polynomial density times the signal.
+    q_v = (1-u)^(kappa-1) p_v, where the coefficients c_v of p_v (degree
+    <= N) solve G c_v = v! e_v for the Gram matrix of the Beta weight,
+    G[i][j] = integral_0^1 u^(i+j) (1-u)^(kappa-1) du
+            = (i+j)! (kappa-1)! / (i+j+kappa)!.
     """
-    n = degree
-    m = margin
+    n, k = degree, smoothing
+    # Gauss-Jordan on [G | diag(v!)]; G is positive definite, so every
+    # pivot on the diagonal is nonzero and no row exchange is needed.
+    rows = [
+        [Fraction(factorial(i + j) * factorial(k - 1), factorial(i + j + k)) for j in range(n + 1)]
+        + [Fraction(factorial(i) if j == i else 0) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+    for col in range(n + 1):
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(n + 1):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
 
-    def poly_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-
-    def poly_add(a, b):
-        size = max(len(a), len(b))
-        return [
-            (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-            for i in range(size)
-        ]
-
-    def one_minus_u_pow(p):
-        return [Fraction((-1) ** k * comb(p, k)) for k in range(p + 1)]
-
-    def u_pow(p):
-        return [Fraction(0)] * p + [Fraction(1)]
-
-    # Left-hand-side densities P_a, one integral equation per order a.
-    densities_p = []
-    for a in range(n + 1):
-        p = [Fraction(0)]
-        for j in range(a + 1):
-            c = Fraction(
-                comb(a, j) * factorial(n + 1),
-                factorial(n + 1 - j) * factorial(m - 2 + j),
-            ) * (-1) ** (a - j)
-            term = [c * x for x in poly_mul(one_minus_u_pow(m - 2 + j), u_pow(a - j))]
-            p = poly_add(p, term)
-        densities_p.append(p)
-
-    # Right-hand-side coefficients; B[a][v] multiplies x^(v)(0) in equation a
-    # and vanishes for v > n - a, which makes the system triangular.
-    b = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        for v in range(n - a + 1):
-            b[a][v] = Fraction(
-                factorial(n - v), factorial(n - v - a) * factorial(m + v + a - 1)
-            )
-
-    # Back-substitute from a = n downward: equation n-v isolates x^(v)(0).
-    gamma = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for v in range(n + 1):
-        a = n - v
-        g = [Fraction(0)] * (n + 1)
-        g[a] = Fraction(1)
-        for k in range(v):
-            for a2 in range(n + 1):
-                g[a2] -= b[a][k] * gamma[k][a2]
-        gamma[v] = [gi / b[a][v] for gi in g]
-
+    # Multiply each p_v by the binomial expansion of (1-u)^(kappa-1).
+    weight = [(-1) ** j * comb(k - 1, j) for j in range(k)]
     qs = []
     for v in range(n + 1):
-        q = [Fraction(0)]
-        for a in range(n + 1):
-            q = poly_add(q, [gamma[v][a] * x for x in densities_p[a]])
+        q = [Fraction(0)] * (n + k)
+        for i in range(n + 1):
+            for j, b in enumerate(weight):
+                q[i + j] += rows[i][n + 1 + v] * b
         qs.append(q)
-
-    # Reproducing property, checked in exact arithmetic.
-    for v in range(n + 1):
-        for d in range(n + 1):
-            got = sum(c * Fraction(1, k + d + 1) for k, c in enumerate(qs[v]))
-            want = Fraction(factorial(v)) if d == v else Fraction(0)
-            if got != want:
-                raise AssertionError(f"density reproducing property failed at v={v}, d={d}")
     return qs
 
 
@@ -201,7 +156,7 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     """
     n, w = spec.degree, spec.window
     dt = spec.spacing
-    qs = _density_polynomials(n, spec.smoothing + 1)
+    qs = _density_polynomials(n, spec.smoothing)
 
     horizon = (w - 1) * dt
     u = (w - 1 - np.arange(w)) / (w - 1)  # u_j pairs offset tau_j with window time

@@ -53,8 +53,10 @@ class TestSimulatePaths:
     def test_chunking_does_not_change_the_stream(self, monkeypatch):
         params = GbmParams(mu=0.05, sigma=0.2, steps=33, paths=9, seed=13)
         full = simulate_paths(params)
+        stat = oscillation_probability(params, 0.05)
         monkeypatch.setattr(gbm, "_CHUNK_VALUES", 64)
         np.testing.assert_array_equal(simulate_paths(params), full)
+        assert oscillation_probability(params, 0.05) == stat
 
     def test_terminal_mean_matches_theory(self):
         params = GbmParams(mu=0.05, sigma=0.2, steps=400, paths=4000, seed=9)

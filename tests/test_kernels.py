@@ -1,11 +1,15 @@
 """Kernel bank construction: exactness, golden weights, noise gains."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlab.kernels import (
     EstimatorSpec,
+    _density_polynomials,
     build_kernel_bank,
     emit_weights,
     kernel_noise_gain,
@@ -39,6 +43,44 @@ class TestEstimatorSpec:
     def test_smoothing_must_be_positive_integer(self):
         with pytest.raises(ValueError, match="smoothing must be an integer >= 1"):
             EstimatorSpec(smoothing=0)
+
+
+class TestDensityPolynomials:
+    # The three properties below determine q_v uniquely: (b) and (c) put
+    # q_v in (1-u)^(kappa-1) times the polynomials of degree <= N, where
+    # the N+1 conditions (a) form a Gram system of a positive weight.
+    @settings(max_examples=60, deadline=None)
+    @given(degree=st.integers(0, 8), smoothing=st.integers(1, 6))
+    def test_densities_pinned_by_reproducing_property(self, degree, smoothing):
+        qs = _density_polynomials(degree, smoothing)
+        assert len(qs) == degree + 1
+        for v, q in enumerate(qs):
+            # (a) integral_0^1 q_v u^d du = v! delta_vd, exactly.
+            for d in range(degree + 1):
+                got = sum(c * Fraction(1, k + d + 1) for k, c in enumerate(q))
+                assert got == (math.factorial(v) if d == v else 0), (v, d)
+            # (b) degree <= N + kappa - 1, stored as N + kappa coefficients.
+            assert len(q) == degree + smoothing
+            # (c) q_v and its first kappa-2 derivatives vanish at u = 1.
+            for r in range(smoothing - 1):
+                assert sum(c * math.perm(k, r) for k, c in enumerate(q)) == 0, r
+
+    @pytest.mark.parametrize(
+        "smoothing, want",
+        [
+            (1, [[9, -36, 30], [-36, 192, -180], [60, -360, 360]]),
+            (
+                3,
+                [
+                    [15, -120, 300, -300, 105],
+                    [-90, 960, -2700, 2880, -1050],
+                    [210, -2520, 7560, -8400, 3150],
+                ],
+            ),
+        ],
+    )
+    def test_quadratic_densities_pinned(self, smoothing, want):
+        assert _density_polynomials(2, smoothing) == [[Fraction(c) for c in q] for q in want]
 
 
 class TestGoldenWeights:

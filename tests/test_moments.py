@@ -1,7 +1,10 @@
 """Rolling central moments against brute-force recomputation."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import trendlab.moments as moments
 from trendlab.moments import emit_moments, moment_tracks, rolling_central_moment
 
 
@@ -63,6 +66,21 @@ class TestMomentTracks:
         assert track.warmup == 50
         assert len(track) == 350
         assert track.defined.all()
+
+    def test_chunk_boundaries_do_not_change_tracks(self, monkeypatch):
+        # 400 windows in 7-row chunks leave a 1-row tail; the flat stretch
+        # puts undefined windows across chunk boundaries as well.
+        rng = np.random.default_rng(325)
+        fluct = rng.normal(0.0, 1.0, 500)
+        fluct[200:330] = 0.0
+        full = moment_tracks(fluct)
+        monkeypatch.setattr(moments, "_CHUNK_ROWS", 7)
+        chunked = moment_tracks(fluct)
+        assert not full.defined.all()
+        for field in fields(full):
+            np.testing.assert_array_equal(
+                getattr(chunked, field.name), getattr(full, field.name), err_msg=field.name
+            )
 
     def test_alternating_example(self):
         # window of 4 samples alternating +-1: mean 0, ma2 = 1, ma3 = 0.
