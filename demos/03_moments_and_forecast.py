@@ -40,7 +40,7 @@ def main() -> None:
           f"(price {float(series.values[origin]):.2f}):")
     print(f"{'h':>3}  {'trend_hat':>10}  {'95% band':>22}  position")
     for h in (1, 2, 3, 5, 10, 20):
-        point = forecast_point(slow, fast, track, origin, h)
+        point = forecast_point(slow, fast, track.std, origin, h)
         band = f"[{point.lo:9.3f}, {point.hi:9.3f}]"
         print(f"{h:>3}  {point.trend_hat:>10.3f}  {band:>22}  {point.position}")
 

@@ -1,11 +1,11 @@
 """Walk-forward evaluation of position forecasts over a price history.
 
-At each origin the pipeline forecasts the trend (slow bank), the price
-(fast bank), and the fluctuation std (slow bank over the moment track),
-calls a position inside the deadband rule, and scores it against the
-realized sign of price minus the retrospective slow trend at the target
-date. Percentages, forecast errors, band coverage, and the std track's
-heteroscedasticity are aggregated per horizon.
+In one array pass per horizon over every origin, the pipeline forecasts the
+trend (slow bank), the price (fast bank), and the fluctuation std (slow bank
+over the rolling std track), calls a position inside the deadband rule, and
+scores it against the realized sign of price minus the retrospective slow
+trend at the target date. Percentages, forecast errors, band coverage, and
+the std track's heteroscedasticity are aggregated per horizon.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import forecast as fc
 from .decompose import sliding_trend
 from .kernels import EstimatorSpec, build_kernel_bank
-from .moments import moment_tracks
+from .moments import rolling_central_moment
 from .series_io import PriceSeries
 
 
@@ -90,19 +90,19 @@ def score_positions(
         )
     if len(predictions) == 0:
         raise ValueError("nothing to score")
-    exact = nodecision = wrong = 0
-    for pred, real in zip(predictions, realized):
-        if real not in (fc.ABOVE, fc.UNDER):
-            raise ValueError(f"realized positions must be above/under, got {real!r}")
-        if pred == fc.NO_DECISION:
-            nodecision += 1
-        elif pred == real:
-            exact += 1
-        elif pred in (fc.ABOVE, fc.UNDER):
-            wrong += 1
-        else:
-            raise ValueError(f"unknown prediction {pred!r}")
-    total = len(predictions)
+    pred, real = np.asarray(predictions), np.asarray(realized)
+    bad = ~np.isin(real, (fc.ABOVE, fc.UNDER))
+    if bad.any():
+        raise ValueError(f"realized positions must be above/under, got {real[bad].tolist()[0]!r}")
+    decided = np.isin(pred, (fc.ABOVE, fc.UNDER))
+    undecided = pred == fc.NO_DECISION
+    bad = ~(decided | undecided)
+    if bad.any():
+        raise ValueError(f"unknown prediction {pred[bad].tolist()[0]!r}")
+    total = len(pred)
+    exact = int(np.count_nonzero(pred == real))
+    nodecision = int(np.count_nonzero(undecided))
+    wrong = int(np.count_nonzero(decided)) - exact
     return 100.0 * exact / total, 100.0 * nodecision / total, 100.0 * wrong / total
 
 
@@ -110,12 +110,12 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     """Run the forecast pipeline at every valid origin and score it.
 
     Estimator specs are rebuilt on the series' own spacing. Origins start
-    at forecast.first_origin(W_slow, M), the first index where the slow
-    bank, the moment window, and a slow-bank window over the std track
-    all fit.
+    at forecast.first_forecast_origin(W_slow, W_fast, M); those before it
+    from forecast.first_origin(W_slow, M) on, which lack a fast-bank
+    window, are counted as skipped.
 
     Raises:
-        ValueError: series shorter than config.min_samples().
+        ValueError: series shorter than config.min_samples(), or no origins.
     """
     n = len(series)
     need = config.min_samples()
@@ -126,39 +126,29 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     spec_fast = replace(config.spec_fast, spacing=series.spacing)
     slow = sliding_trend(series, build_kernel_bank(spec_slow))
     fast = sliding_trend(series, build_kernel_bank(spec_fast))
-    track = moment_tracks(slow.fluctuation, config.M)
+    std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, config.M))
 
-    t_min = fc.first_origin(spec_slow.window, config.M)
-    prices = series.values
+    start = fc.first_forecast_origin(spec_slow.window, spec_fast.window, config.M)
+    skipped = start - fc.first_origin(spec_slow.window, config.M)
     results = []
     for h in config.horizons:
-        predictions: list[str] = []
-        realized: list[str] = []
-        sq_err = 0.0
-        covered = 0
-        stds: list[float] = []
-        skipped = 0
-        for t in range(t_min, n - h):
-            try:
-                point = fc.forecast_point(
-                    slow, fast, track, t, h,
-                    level=config.level, deadband_mult=config.deadband_rule,
-                )
-            except ValueError:
-                skipped += 1
-                continue
-            target = float(prices[t + h])
-            fluct_at_target = float(slow.fluctuation[t + h - slow.warmup])
-            realized.append(fc.ABOVE if fluct_at_target > 0 else fc.UNDER)
-            predictions.append(point.position)
-            sq_err += (point.trend_hat - target) ** 2
-            covered += int(point.lo <= target <= point.hi)
-            stds.append(float(track.std[t - slow.warmup - track.warmup]))
-        if not predictions:
+        origins = np.arange(start, n - h)
+        if len(origins) == 0:
             raise ValueError(f"no scorable origins at horizon {h}")
-        exact, nodecision, wrong = score_positions(predictions, realized)
-        count = len(predictions)
-        std_min, std_max = min(stds), max(stds)
+        point = fc.forecast_point(
+            slow, fast, std, origins, h,
+            level=config.level, deadband_mult=config.deadband_rule,
+        )
+        target = series.values[origins + h]
+        realized = np.where(slow.fluctuation[origins + h - slow.warmup] > 0, fc.ABOVE, fc.UNDER)
+        exact, nodecision, wrong = score_positions(point.position, realized)
+        # float_power matches the scalar d ** 2, and cumsum adds in origin
+        # order, so the error sum does not depend on numpy's summation.
+        sq_err = float(np.cumsum(np.float_power(point.trend_hat - target, 2))[-1])
+        covered = int(np.count_nonzero((point.lo <= target) & (target <= point.hi)))
+        stds = std[origins - slow.warmup - config.M]
+        std_min, std_max = float(stds.min()), float(stds.max())
+        count = len(origins)
         results.append(
             HorizonResult(
                 horizon=h,

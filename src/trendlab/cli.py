@@ -15,13 +15,15 @@ import tempfile
 from dataclasses import replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__
 from .backtest import BacktestConfig, emit_report, walk_forward
 from .decompose import emit_decomposition, oscillation_score, sliding_trend
-from .forecast import first_origin, forecast_point
+from .forecast import first_forecast_origin, forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
-from .moments import emit_moments, moment_tracks
+from .moments import emit_moments, moment_tracks, rolling_central_moment
 from .series_io import load_prices
 
 
@@ -124,26 +126,23 @@ def _cmd_moments(args: argparse.Namespace) -> list[str]:
 
 def _cmd_forecast(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    slow_bank = build_kernel_bank(_slow_spec(args))
-    fast_bank = build_kernel_bank(replace(_slow_spec(args), window=args.fast_window))
-    slow = sliding_trend(series, slow_bank)
-    fast = sliding_trend(series, fast_bank)
-    track = moment_tracks(slow.fluctuation, args.moment_window)
-    t_min = first_origin(slow_bank.spec.window, args.moment_window)
+    slow = sliding_trend(series, build_kernel_bank(_slow_spec(args)))
+    fast = sliding_trend(series, build_kernel_bank(replace(_slow_spec(args), window=args.fast_window)))
+    std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, args.moment_window))
+    start = first_forecast_origin(args.window, args.fast_window, args.moment_window)
     n = len(series)
-    if t_min >= n:
-        raise ValueError(f"series too short: need at least {t_min + 1} samples, got {n}")
+    if start >= n:
+        raise ValueError(f"series too short: need at least {start + 1} samples, got {n}")
+    origins = np.arange(start, n)
     lines = ["date,horizon,trend_hat,lo,hi,position"]
     for h in args.horizons:
-        for t in range(t_min, n):
-            point = forecast_point(
-                slow, fast, track, t, h,
-                level=args.level, deadband_mult=args.deadband_mult,
-            )
-            lines.append(
-                f"{series.date_label(t)},{h},{point.trend_hat!r},"
-                f"{point.lo!r},{point.hi!r},{point.position}"
-            )
+        point = forecast_point(
+            slow, fast, std, origins, h,
+            level=args.level, deadband_mult=args.deadband_mult,
+        )
+        columns = (origins, point.trend_hat, point.lo, point.hi, point.position)
+        for t, trend_hat, lo, hi, position in zip(*(c.tolist() for c in columns)):
+            lines.append(f"{series.date_label(t)},{h},{trend_hat!r},{lo!r},{hi!r},{position}")
     stem = _stem(args.input)
     return _emit_all(args.out_dir, {f"{stem}_forecast.csv": "\n".join(lines) + "\n"})
 

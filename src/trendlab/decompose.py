@@ -43,12 +43,13 @@ class Decomposition:
     def source_index(self, position: int) -> int:
         return position + self.warmup
 
-    def position(self, source_index: int) -> int:
-        """Aligned position for one source index; rejects warm-up indices."""
+    def position(self, source_index):
+        """Aligned position(s) of a source index or integer array; rejects warm-up indices."""
         pos = source_index - self.warmup
-        if not 0 <= pos < len(self.trend):
+        bad = np.extract((pos < 0) | (pos >= len(self.trend)), source_index)
+        if bad.size:
             raise ValueError(
-                f"source index {source_index} outside aligned range "
+                f"source index {bad[0]} outside aligned range "
                 f"{self.warmup}..{self.warmup + len(self.trend) - 1}"
             )
         return pos
@@ -81,8 +82,7 @@ def sliding_trend(series: PriceSeries, bank: KernelBank) -> Decomposition:
         raise ValueError(f"series has {len(values)} samples, window needs {w}")
 
     def track(order: int) -> np.ndarray:
-        # convolve flips its kernel; flip back so weight j hits offset j.
-        out = np.convolve(values, bank.weights[order][::-1], mode="valid")
+        out = bank.slide(values, order)
         out.setflags(write=False)
         return out
 

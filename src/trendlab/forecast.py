@@ -2,15 +2,17 @@
 
 All forecasts are second-order Taylor extrapolations of filtered values:
 the trend uses its own estimated derivatives; moment tracks are filtered
-by a kernel bank first. The position classifier compares a fast-filter
-price forecast against the slow-filter trend forecast inside a deadband
-proportional to the predicted fluctuation std.
+by a kernel bank first (KernelBank.slide, as for the trend). The position
+classifier compares a fast-filter price forecast against the slow-filter
+trend forecast inside a deadband proportional to the predicted fluctuation
+std. An origin t is one index (plain float results) or an integer array
+of them (array results, in one pass).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
 
+import numpy as np
 from scipy.special import ndtri
 
 from .decompose import Decomposition
@@ -24,7 +26,7 @@ NO_DECISION = "no_decision"
 
 @dataclass(frozen=True)
 class ForecastPoint:
-    """One origin/horizon forecast with its band and position call.
+    """One horizon's forecasts, bands and position calls at an origin or array.
 
     origin indexes the source grid; horizon is in grid steps. deadband is
     the half-width (currency units) inside which no position is called.
@@ -40,14 +42,14 @@ class ForecastPoint:
     deadband: float
 
 
-def taylor_extrapolate(value: float, d1: float, d2: float, h: float) -> float:
+def taylor_extrapolate(value, d1, d2, h: float):
     """value + h*d1 + (h^2/2)*d2; h >= 0 in the value's time units."""
     if h < 0:
         raise ValueError(f"horizon must be >= 0, got {h!r}")
     return value + h * d1 + 0.5 * h * h * d2
 
 
-def forecast_trend(dec: Decomposition, t: int, h: float) -> float:
+def forecast_trend(dec: Decomposition, t, h: float):
     """Extrapolate the trend h grid steps past source index t.
 
     Derivative orders the bank does not estimate are taken as zero.
@@ -55,21 +57,37 @@ def forecast_trend(dec: Decomposition, t: int, h: float) -> float:
     Raises:
         ValueError: t in the warm-up region or outside the series.
     """
-    pos = dec.position(t)  # rejects warm-up indices
-    d1 = float(dec.d1[pos]) if dec.d1 is not None else 0.0
-    d2 = float(dec.d2[pos]) if dec.d2 is not None else 0.0
-    dt = dec.bank.spec.spacing
-    return taylor_extrapolate(float(dec.trend[pos]), d1, d2, h * dt)
+    return _extrapolate((dec.trend, dec.d1, dec.d2), dec.position(t), dec.bank.spec.spacing, h)
 
 
-def forecast_moments(
-    track: MomentTrack, bank: KernelBank, t: int, h: float
-) -> tuple[float, float, float]:
+def _extrapolate(tracks, at, spacing: float, h: float, floor: float = -np.inf):
+    """Taylor step from the (value, d1, d2) tracks at positions at, None
+    tracks read as zero, clamped below at floor; a float for one position."""
+    value, d1, d2 = (x[at] if x is not None else 0.0 for x in tracks)
+    out = np.maximum(taylor_extrapolate(value, d1, d2, h * spacing), floor)
+    return out if np.ndim(at) else float(out)
+
+
+def _filter_extrapolate(bank: KernelBank, seq: np.ndarray, pos, h: float, floor: float = -np.inf):
+    """Filter seq with the bank on the windows ending at positions pos and
+    extrapolate h steps; rejects positions without W values ending there."""
+    w = bank.spec.window
+    first, last = np.min(pos), np.max(pos)
+    if first < 0 or last >= len(seq):
+        raise ValueError(f"track position {first if first < 0 else last} outside 0..{len(seq) - 1}")
+    if first - w + 1 < 0:
+        raise ValueError(f"insufficient history: need {w} track values ending at {first}, have {first + 1}")
+    span = seq[first - w + 1 : last + 1]  # slide entry a: the window ending at first + a
+    tracks = [bank.slide(span, v) if v <= bank.spec.degree else None for v in range(3)]
+    return _extrapolate(tracks, pos - first, bank.spec.spacing, h, floor)
+
+
+def forecast_moments(track: MomentTrack, bank: KernelBank, t, h: float) -> tuple:
     """Filter the moment tracks and extrapolate them h steps.
 
     Args:
-        t: track position (0-based within the track arrays); the bank
-            window must fit in defined history ending at t.
+        t: track position (0-based within the track arrays) or integer
+            array; the bank window must fit in defined history ending at t.
 
     Returns:
         (std_hat, skew_hat, kurt_hat); std_hat clamped at 0 below,
@@ -80,57 +98,38 @@ def forecast_moments(
     Raises:
         ValueError: fewer than window values ending at t.
     """
-    w = bank.spec.window
-    if not 0 <= t < len(track):
-        raise ValueError(f"track position {t} outside 0..{len(track) - 1}")
-    if t - w + 1 < 0:
-        raise ValueError(
-            f"insufficient history: need {w} track values ending at {t}, have {t + 1}"
-        )
-    lo = t - w + 1
-    dt = bank.spec.spacing
-    hats = []
-    for seq in (track.std, track.skew, track.kurt):
-        window = seq[lo : t + 1]
-        value = bank.estimate(window, 0)
-        d1 = bank.estimate(window, 1) if bank.spec.degree >= 1 else 0.0
-        d2 = bank.estimate(window, 2) if bank.spec.degree >= 2 else 0.0
-        hats.append(taylor_extrapolate(value, d1, d2, h * dt))
-    std_hat, skew_hat, kurt_hat = hats
-    if not isnan(kurt_hat):
-        kurt_hat = max(kurt_hat, 1.0)
-    return max(std_hat, 0.0), skew_hat, kurt_hat
+    return tuple(
+        _filter_extrapolate(bank, seq, t, h, floor)
+        for seq, floor in ((track.std, 0.0), (track.skew, -np.inf), (track.kurt, 1.0))
+    )
 
 
-def confidence_band(trend_hat: float, std_hat: float, level: float = 0.95) -> tuple[float, float]:
+def confidence_band(trend_hat, std_hat, level: float = 0.95) -> tuple:
     """Symmetric band trend_hat +- z*std_hat, z the two-sided normal
     quantile for the level; degenerates to a point at std_hat = 0."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be inside (0, 1), got {level!r}")
-    if std_hat < 0:
-        raise ValueError(f"std_hat must be >= 0, got {std_hat!r}")
+    if np.any(std_hat < 0):
+        raise ValueError(f"std_hat must be >= 0, got {float(np.min(std_hat))!r}")
     z = float(ndtri(0.5 * (1.0 + level)))
     return trend_hat - z * std_hat, trend_hat + z * std_hat
 
 
-def classify_position(price_hat: float, trend_hat: float, deadband: float) -> str:
+def classify_position(price_hat, trend_hat, deadband):
     """above / under / no_decision by comparing the forecasts.
 
     above when price_hat - trend_hat > deadband, under when
     trend_hat - price_hat > deadband, no_decision inside the band.
     """
-    if deadband < 0:
-        raise ValueError(f"deadband must be >= 0, got {deadband!r}")
+    if np.any(deadband < 0):
+        raise ValueError(f"deadband must be >= 0, got {float(np.min(deadband))!r}")
     diff = price_hat - trend_hat
-    if diff > deadband:
-        return ABOVE
-    if -diff > deadband:
-        return UNDER
-    return NO_DECISION
+    position = np.where(diff > deadband, ABOVE, np.where(-diff > deadband, UNDER, NO_DECISION))
+    return position if position.ndim else str(position)
 
 
 def first_origin(slow_window: int, M: int) -> int:
-    """Smallest source index with the history forecast_point needs.
+    """Smallest source index with the slow-side history forecast_point needs.
 
     The slow trend starts after W-1 samples, the moment track after M
     more, and a slow-bank window over the track needs W-1 more again.
@@ -138,21 +137,27 @@ def first_origin(slow_window: int, M: int) -> int:
     return 2 * (slow_window - 1) + M
 
 
+def first_forecast_origin(slow_window: int, fast_window: int, M: int) -> int:
+    """Smallest source index where forecast_point can run: the slow
+    pipeline's first_origin, and a full window of the fast bank."""
+    return max(first_origin(slow_window, M), fast_window - 1)
+
+
 def forecast_point(
     slow: Decomposition,
     fast: Decomposition,
-    track: MomentTrack,
-    t: int,
+    std: np.ndarray,
+    t,
     h: int,
     level: float = 0.95,
     deadband_mult: float = 0.1,
 ) -> ForecastPoint:
-    """Assemble the full forecast at one origin.
+    """Assemble the full forecast at one origin or an array of origins.
 
-    slow and fast must decompose the same source; track must be the
-    moment track of the slow fluctuation. t is a source index with
-    enough trailing history for the slow bank, the moment window, and a
-    slow-bank window over the track: t >= first_origin(W_slow, M).
+    slow and fast must decompose the same source; std must be the rolling
+    std track of the slow fluctuation (moment_tracks(...).std, or the root
+    of rolling_central_moment(..., 2, M)), with warm-up len(slow) - len(std).
+    Each origin t needs t >= first_forecast_origin(W_slow, W_fast, M).
 
     Raises:
         ValueError: insufficient history at t.
@@ -161,8 +166,8 @@ def forecast_point(
         raise ValueError("slow and fast decompositions must share one source series")
     if deadband_mult < 0:
         raise ValueError(f"deadband_mult must be >= 0, got {deadband_mult!r}")
-    track_pos = t - slow.warmup - track.warmup
-    std_hat, _, _ = forecast_moments(track, slow.bank, track_pos, h)
+    track_pos = t - slow.warmup - (len(slow) - len(std))
+    std_hat = _filter_extrapolate(slow.bank, std, track_pos, h, floor=0.0)
     trend_hat = forecast_trend(slow, t, h)
     price_hat = forecast_trend(fast, t, h)
     lo, hi = confidence_band(trend_hat, std_hat, level)

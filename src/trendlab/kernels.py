@@ -85,8 +85,19 @@ class KernelBank:
         w = self.spec.window
         return (np.arange(w) - (w - 1)) * self.spec.spacing
 
+    def slide(self, values: np.ndarray, order: int) -> np.ndarray:
+        """Apply the order-th kernel to every W-sample window: entry a estimates
+        the order-th derivative at sample a + W - 1 from values[a : a + W]."""
+        if not 0 <= order <= self.spec.degree:
+            raise ValueError(f"order must be in 0..{self.spec.degree}, got {order}")
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 1 or len(values) < self.spec.window:
+            raise ValueError(f"expected at least {self.spec.window} samples, got shape {values.shape}")
+        # convolve flips its kernel; flip back so weight j hits offset j.
+        return np.convolve(values, self.weights[order][::-1], mode="valid")
+
     def estimate(self, values: np.ndarray, order: int) -> float:
-        """Apply the order-th kernel to one window of samples.
+        """Apply the order-th kernel to one window (slide's single-window case).
 
         Args:
             values: the W window samples, oldest first.
@@ -95,14 +106,12 @@ class KernelBank:
         Returns:
             The estimated order-th derivative at the newest sample.
         """
-        if not 0 <= order <= self.spec.degree:
-            raise ValueError(f"order must be in 0..{self.spec.degree}, got {order}")
         values = np.asarray(values, dtype=float)
         if values.shape != (self.spec.window,):
             raise ValueError(
                 f"expected {self.spec.window} window samples, got shape {values.shape}"
             )
-        return float(self.weights[order] @ values)
+        return float(self.slide(values, order)[0])
 
 
 def _density_polynomials(degree: int, smoothing: int) -> list[list[Fraction]]:

@@ -36,12 +36,20 @@ class MomentTrack:
         return len(self.std)
 
 
-def _rolling_stats(fluct: np.ndarray, m: int, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
+def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
     """Trailing-window mean and central moments, mean-first arithmetic.
 
     Chunked windowed evaluation; each window reduces over a contiguous
     axis, matching per-window recomputation bit for bit.
+
+    Raises:
+        ValueError: m < 1 or sequence shorter than m+1.
     """
+    fluct = np.asarray(fluctuation, dtype=float)
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"M must be an integer >= 1, got {m!r}")
+    if fluct.ndim != 1 or len(fluct) < m + 1:
+        raise ValueError(f"need at least M+1 = {m + 1} samples, got {len(fluct)}")
     n = len(fluct)
     out = {0: np.empty(n - m)}
     for k in ks:
@@ -68,14 +76,9 @@ def rolling_central_moment(fluctuation: np.ndarray, k: int, M: int) -> np.ndarra
     Raises:
         ValueError: k < 2, M < 1, or sequence shorter than M+1.
     """
-    fluct = np.asarray(fluctuation, dtype=float)
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    if fluct.ndim != 1 or len(fluct) < M + 1:
-        raise ValueError(f"need at least M+1 = {M + 1} samples, got {len(fluct)}")
-    return _rolling_stats(fluct, M, (k,))[k]
+    return _rolling_stats(fluctuation, M, (k,))[k]
 
 
 def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
@@ -84,13 +87,7 @@ def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
     Raises:
         ValueError: M < 1 or sequence shorter than M+1.
     """
-    fluct = np.asarray(fluctuation, dtype=float)
-    if not isinstance(M, int) or M < 1:
-        raise ValueError(f"M must be an integer >= 1, got {M!r}")
-    if fluct.ndim != 1 or len(fluct) < M + 1:
-        raise ValueError(f"need at least M+1 = {M + 1} samples, got {len(fluct)}")
-
-    stats = _rolling_stats(fluct, M, (2, 3, 4))
+    stats = _rolling_stats(fluctuation, M, (2, 3, 4))
     mean_track, ma2, ma3, ma4 = stats[0], stats[2], stats[3], stats[4]
     # MA_2 is a mean of squares, so it is >= 0 in float arithmetic too.
     defined = ma2 > 0.0

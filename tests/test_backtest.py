@@ -1,13 +1,97 @@
 """Walk-forward evaluation: scoring, tallies, and report emission."""
-from dataclasses import replace
+from dataclasses import fields, replace
+from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trendlab.backtest import BacktestConfig, emit_report, score_positions, walk_forward
-from trendlab.forecast import ABOVE, NO_DECISION, UNDER
-from trendlab.kernels import EstimatorSpec
+from trendlab.backtest import (
+    BacktestConfig,
+    HorizonResult,
+    emit_report,
+    score_positions,
+    walk_forward,
+)
+from trendlab.decompose import sliding_trend
+from trendlab.forecast import (
+    ABOVE,
+    NO_DECISION,
+    UNDER,
+    first_forecast_origin,
+    first_origin,
+    forecast_point,
+)
+from trendlab.kernels import EstimatorSpec, build_kernel_bank
+from trendlab.moments import moment_tracks
 from trendlab.series_io import PriceSeries
+
+SMALL = BacktestConfig(
+    spec_slow=EstimatorSpec(degree=2, window=5),
+    spec_fast=EstimatorSpec(degree=2, window=4),
+    M=6,
+    horizons=(1, 2),
+)
+WIDE_FAST = BacktestConfig(spec_fast=EstimatorSpec(degree=2, window=200))
+
+
+def random_walk(n: int, seed: int) -> PriceSeries:
+    rng = np.random.default_rng(seed)
+    return PriceSeries("walk", 40.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, n))))
+
+
+def decompositions(series: PriceSeries, config: BacktestConfig):
+    slow = sliding_trend(
+        series, build_kernel_bank(replace(config.spec_slow, spacing=series.spacing))
+    )
+    fast = sliding_trend(
+        series, build_kernel_bank(replace(config.spec_fast, spacing=series.spacing))
+    )
+    return slow, fast, moment_tracks(slow.fluctuation, config.M)
+
+
+def per_origin_walk_forward(series: PriceSeries, config: BacktestConfig):
+    """The scalar per-origin loop walk_forward replaced, kept as its oracle."""
+    slow, fast, track = decompositions(series, config)
+    n = len(series)
+    results = []
+    for h in config.horizons:
+        predictions, realized, stds = [], [], []
+        sq_err = 0.0
+        covered = skipped = 0
+        for t in range(first_origin(config.spec_slow.window, config.M), n - h):
+            try:
+                point = forecast_point(
+                    slow, fast, track.std, t, h,
+                    level=config.level, deadband_mult=config.deadband_rule,
+                )
+            except ValueError:
+                skipped += 1
+                continue
+            target = float(series.values[t + h])
+            realized.append(ABOVE if float(slow.fluctuation[t + h - slow.warmup]) > 0 else UNDER)
+            predictions.append(point.position)
+            sq_err += (point.trend_hat - target) ** 2
+            covered += int(point.lo <= target <= point.hi)
+            stds.append(float(track.std[t - slow.warmup - track.warmup]))
+        count = len(predictions)
+        exact = sum(p == r for p, r in zip(predictions, realized))
+        nodecision = predictions.count(NO_DECISION)
+        results.append(
+            HorizonResult(
+                horizon=h,
+                exact_pct=100.0 * exact / count,
+                nodecision_pct=100.0 * nodecision / count,
+                wrong_pct=100.0 * (count - exact - nodecision) / count,
+                rmse=sqrt(sq_err / count),
+                coverage=covered / count,
+                het_ratio=max(stds) / min(stds) if min(stds) > 0 else float("inf"),
+                origins=count,
+                skipped=skipped,
+            )
+        )
+    return tuple(results)
 
 
 class TestBacktestConfig:
@@ -127,6 +211,80 @@ class TestWalkForward:
         values = 50.0 + np.sin(np.arange(20.0))
         report = walk_forward(PriceSeries("s", values), cfg)
         assert report.results[0].origins == 5
+
+
+    def test_no_origin_left_for_the_fast_window(self):
+        cfg = replace(SMALL, spec_fast=EstimatorSpec(degree=2, window=17))
+        with pytest.raises(ValueError, match="no scorable origins at horizon 1"):
+            walk_forward(random_walk(cfg.min_samples(), seed=1), cfg)
+
+
+class TestArrayPathMatchesPerOriginLoop:
+    @pytest.mark.parametrize(
+        "config, n, skipped",
+        [(BacktestConfig(), 1500, 0), (SMALL, 200, 0), (WIDE_FAST, 400, 59)],
+        ids=["default", "small", "wide-fast"],
+    )
+    def test_every_field_equals_the_loop(self, config, n, skipped):
+        series = random_walk(n, seed=n)
+        report = walk_forward(series, config)
+        assert report.results == per_origin_walk_forward(series, config)
+        for result in report.results:
+            assert result.skipped == skipped
+            for field in fields(result):
+                assert type(getattr(result, field.name)) in (int, float)
+
+    @pytest.mark.parametrize(
+        "config", [BacktestConfig(), SMALL, WIDE_FAST], ids=["default", "small", "wide-fast"]
+    )
+    def test_array_forecast_point_equals_scalar_calls(self, config):
+        series = random_walk(400, seed=3)
+        slow, fast, track = decompositions(series, config)
+        start = first_forecast_origin(config.spec_slow.window, config.spec_fast.window, config.M)
+        origins = np.arange(start, len(series))
+        with pytest.raises(ValueError):
+            forecast_point(slow, fast, track.std, start - 1, 1)
+        for h in config.horizons:
+            batch = forecast_point(slow, fast, track.std, origins, h)
+            assert (batch.horizon, batch.level) == (h, 0.95)
+            for k, t in enumerate(origins.tolist()):
+                point = forecast_point(slow, fast, track.std, t, h)
+                assert type(point.trend_hat) is float and type(point.position) is str
+                for name in ("origin", "trend_hat", "lo", "hi", "position", "deadband"):
+                    assert getattr(point, name) == getattr(batch, name)[k]
+
+
+class TestWalkForwardInvariants:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        degree=st.integers(0, 3),
+        slow_extra=st.integers(0, 16),
+        fast_extra=st.integers(0, 40),
+        M=st.integers(1, 12),
+        horizons=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
+        extra=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_percentages_and_origin_count(
+        self, degree, slow_extra, fast_extra, M, horizons, extra, seed
+    ):
+        slow_w, fast_w = degree + 2 + slow_extra, degree + 2 + fast_extra
+        config = BacktestConfig(
+            horizons=tuple(horizons),
+            spec_slow=EstimatorSpec(degree=degree, window=slow_w),
+            spec_fast=EstimatorSpec(degree=degree, window=fast_w),
+            M=M,
+        )
+        start = first_forecast_origin(slow_w, fast_w, M)
+        n = max(config.min_samples(), start + max(horizons) + 1) + extra
+        values = np.random.default_rng(seed).uniform(1.0, 100.0, n)
+        series = PriceSeries("random", values)
+        report = walk_forward(series, config)
+        for result in report.results:
+            total = result.exact_pct + result.nodecision_pct + result.wrong_pct
+            assert abs(total - 100.0) <= 1e-9
+            assert result.origins + result.skipped == n - result.horizon - first_origin(slow_w, M)
+        assert report.results == per_origin_walk_forward(series, config)
 
 
 class TestEmitReport:

@@ -132,6 +132,24 @@ class TestBacktest:
         assert not (tmp_path / "short_backtest.kv").exists()
 
 
+class TestWideFastWindow:
+    def test_forecast_and_backtest_share_the_first_origin(self, tmp_path):
+        rng = np.random.default_rng(23)
+        values = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 400)))
+        path = write_price_csv(tmp_path / "wide.csv", values)
+        flags = ["--input", str(path), "--fast-window", "200", "--out-dir", str(tmp_path)]
+        assert main(["forecast", *flags]) == 0
+        assert main(["backtest", *flags]) == 0
+        # the fast window pushes the first origin from 2*20 + 100 = 140 to 199
+        rows = (tmp_path / "wide_forecast.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 2 * (400 - 199)
+        assert rows[0].startswith("2020-07-18,1,")  # 2020-01-01 + 199 days
+        kv = read_kv(tmp_path / "wide_backtest.kv")
+        for h in (1, 5):
+            assert kv[f"h{h}.skipped"] == "59"
+            assert kv[f"h{h}.origins"] == str(400 - h - 199)
+
+
 class TestGbm:
     def test_stats_kv(self, tmp_path):
         rc = main([

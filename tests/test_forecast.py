@@ -1,5 +1,6 @@
 """Taylor forecasts, confidence bands, and the position classifier."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,20 @@ class TestForecastMoments:
         assert skew_hat == pytest.approx(0.0, abs=1e-9)
         assert kurt_hat == pytest.approx(3.0, rel=1e-9)
 
+    def test_array_positions_match_scalar_calls(self):
+        bank = build_kernel_bank(EstimatorSpec(degree=2, window=7))
+        std = 1.0 + np.abs(np.sin(np.arange(40.0)))
+        track = constant_kurt_track(std)
+        skew = track.skew.copy()
+        skew[20:23] = np.nan  # undefined windows stay NaN in both forms
+        track = replace(track, skew=skew)
+        positions = np.array([6, 19, 21, 30, 39])
+        batch = forecast_moments(track, bank, positions, 3)
+        for k, t in enumerate(positions.tolist()):
+            for got, want in zip(batch, forecast_moments(track, bank, t, 3)):
+                assert type(want) is float
+                assert np.array_equal(got[k], want, equal_nan=True)
+
     def test_zero_std_track_forecasts_zero(self):
         bank = build_kernel_bank(EstimatorSpec(degree=2, window=7))
         n = 10
@@ -155,6 +170,8 @@ class TestConfidenceBand:
             confidence_band(1.0, 1.0, level=1.0)
         with pytest.raises(ValueError, match="std_hat must be >= 0"):
             confidence_band(1.0, -0.5)
+        with pytest.raises(ValueError, match=r"std_hat must be >= 0, got -0\.5$"):
+            confidence_band(np.ones(3), np.array([1.0, -0.5, 0.0]))
 
 
 class TestClassifyPosition:
@@ -162,6 +179,8 @@ class TestClassifyPosition:
         assert classify_position(103.0, 100.0, 1.0) == ABOVE
         assert classify_position(97.0, 100.0, 1.0) == UNDER
         assert classify_position(100.5, 100.0, 1.0) == NO_DECISION
+        calls = classify_position(np.array([103.0, 97.0, 100.5]), 100.0, np.ones(3))
+        assert calls.tolist() == [ABOVE, UNDER, NO_DECISION]
 
     def test_boundary_is_no_decision(self):
         assert classify_position(101.0, 100.0, 1.0) == NO_DECISION
@@ -190,7 +209,7 @@ class TestForecastPoint:
 
     def test_fields_match_components(self):
         t, h = 200, 1
-        point = forecast_point(self.slow, self.fast, self.track, t, h)
+        point = forecast_point(self.slow, self.fast, self.track.std, t, h)
         assert point.origin == t and point.horizon == h
         assert point.trend_hat == forecast_trend(self.slow, t, h)
         track_pos = t - self.slow.warmup - self.track.warmup
@@ -203,7 +222,7 @@ class TestForecastPoint:
         )
 
     def test_band_ordering(self):
-        point = forecast_point(self.slow, self.fast, self.track, 210, 5)
+        point = forecast_point(self.slow, self.fast, self.track.std, 210, 5)
         assert point.lo <= point.trend_hat <= point.hi
         assert point.level == 0.95
 
@@ -213,15 +232,15 @@ class TestForecastPoint:
             build_kernel_bank(EstimatorSpec(degree=2, window=7)),
         )
         with pytest.raises(ValueError, match="share one source"):
-            forecast_point(self.slow, other, self.track, 200, 1)
+            forecast_point(self.slow, other, self.track.std, 200, 1)
 
     def test_insufficient_history_rejected(self):
         # first admissible origin needs slow warm-up, M, and a track window
         t_min = 2 * self.slow.warmup + self.track.warmup
-        forecast_point(self.slow, self.fast, self.track, t_min, 1)
+        forecast_point(self.slow, self.fast, self.track.std, t_min, 1)
         with pytest.raises(ValueError):
-            forecast_point(self.slow, self.fast, self.track, t_min - 1, 1)
+            forecast_point(self.slow, self.fast, self.track.std, t_min - 1, 1)
 
     def test_negative_deadband_mult_rejected(self):
         with pytest.raises(ValueError, match="deadband_mult must be >= 0"):
-            forecast_point(self.slow, self.fast, self.track, 200, 1, deadband_mult=-0.1)
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=-0.1)

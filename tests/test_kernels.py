@@ -219,6 +219,14 @@ class TestBankInterface:
         with pytest.raises(ValueError, match="order must be in 0..0"):
             bank.estimate(np.zeros(4), 1)
 
+    def test_slide_rejects_short_input_and_bad_order(self):
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
+        assert bank.slide(np.arange(7.0), 1).shape == (3,)
+        with pytest.raises(ValueError, match="expected at least 5 samples"):
+            bank.slide(np.zeros(4), 0)
+        with pytest.raises(ValueError, match="order must be in 0..1"):
+            bank.slide(np.zeros(9), 2)
+
     def test_weights_are_read_only(self):
         bank = build_kernel_bank(EstimatorSpec())
         with pytest.raises(ValueError):
