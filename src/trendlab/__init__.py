@@ -52,7 +52,7 @@ from .kernels import (
     kernel_noise_gain,
 )
 from .moments import MomentTrack, emit_moments, moment_tracks, rolling_central_moment
-from .series_io import PriceSeries, ReturnSeries, dump_prices, load_prices, returns
+from .series_io import PriceSeries, dump_prices, load_prices
 
 __version__ = "1.0.0"
 
@@ -74,7 +74,6 @@ __all__ = [
     "PriceSeries",
     "QUICKLY_FLUCTUATING",
     "ResidualStat",
-    "ReturnSeries",
     "UNDER",
     "build_kernel_bank",
     "classify_position",
@@ -93,7 +92,6 @@ __all__ = [
     "oscillation_probability",
     "oscillation_score",
     "residual_integral",
-    "returns",
     "rolling_central_moment",
     "score_positions",
     "simulate_paths",

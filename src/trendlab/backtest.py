@@ -1,11 +1,14 @@
 """Walk-forward evaluation of position forecasts over a price history.
 
-In one array pass per horizon over every origin, the pipeline forecasts the
-trend (slow bank), the price (fast bank), and the fluctuation std (slow bank
-over the rolling std track), calls a position inside the deadband rule, and
-scores it against the realized sign of price minus the retrospective slow
-trend at the target date. Percentages, forecast errors, band coverage, and
-the std track's heteroscedasticity are aggregated per horizon.
+forecast_setup builds what walk_forward and the forecast command read:
+the slow and fast decompositions, the slow std track and the first
+origin. In one array pass per horizon over every origin, the pipeline
+forecasts the trend (slow bank), the price (fast bank), and the
+fluctuation std (slow bank over the rolling std track), calls a position
+inside the deadband rule, and scores it against the realized sign of
+price minus the retrospective slow trend at the target date. Percentages,
+forecast errors, band coverage, and the std track's heteroscedasticity
+are aggregated per horizon.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from . import forecast as fc
 from .decompose import sliding_trend
 from .kernels import EstimatorSpec, build_kernel_bank
 from .moments import rolling_central_moment
-from .series_io import PriceSeries
+from .series_io import PriceSeries, emit_kv
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,9 @@ class BacktestConfig:
             raise ValueError(f"deadband_rule must be >= 0, got {self.deadband_rule!r}")
 
     def min_samples(self) -> int:
-        """Smallest series length with at least one scorable origin."""
-        return fc.first_origin(self.spec_slow.window, self.M) + max(self.horizons) + 1
+        """Smallest series length with a scorable origin at every horizon."""
+        start = fc.first_forecast_origin(self.spec_slow.window, self.spec_fast.window, self.M)
+        return start + max(self.horizons) + 1
 
 
 @dataclass(frozen=True)
@@ -106,35 +110,47 @@ def score_positions(
     return 100.0 * exact / total, 100.0 * nodecision / total, 100.0 * wrong / total
 
 
+def forecast_setup(series: PriceSeries, config: BacktestConfig):
+    """Slow and fast decompositions, slow std track, and first origin.
+
+    Estimator specs are rebuilt on the series' own spacing.
+
+    Returns:
+        (slow, fast, std, start): forecast_point runs at every origin
+        start..len(series)-1.
+
+    Raises:
+        ValueError: no admissible origin (series length <= start).
+    """
+    start = fc.first_forecast_origin(config.spec_slow.window, config.spec_fast.window, config.M)
+    n = len(series)
+    if n <= start:
+        raise ValueError(f"series too short: need at least {start + 1} samples, got {n}")
+    slow = sliding_trend(series, build_kernel_bank(replace(config.spec_slow, spacing=series.spacing)))
+    fast = sliding_trend(series, build_kernel_bank(replace(config.spec_fast, spacing=series.spacing)))
+    std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, config.M))
+    return slow, fast, std, start
+
+
 def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     """Run the forecast pipeline at every valid origin and score it.
 
-    Estimator specs are rebuilt on the series' own spacing. Origins start
-    at forecast.first_forecast_origin(W_slow, W_fast, M); those before it
-    from forecast.first_origin(W_slow, M) on, which lack a fast-bank
-    window, are counted as skipped.
+    Origins start where forecast_setup says; those before it from
+    forecast.first_origin(W_slow, M) on, which lack a fast-bank window,
+    are counted as skipped.
 
     Raises:
-        ValueError: series shorter than config.min_samples(), or no origins.
+        ValueError: series shorter than config.min_samples().
     """
     n = len(series)
     need = config.min_samples()
     if n < need:
         raise ValueError(f"series too short: need at least {need} samples, got {n}")
-
-    spec_slow = replace(config.spec_slow, spacing=series.spacing)
-    spec_fast = replace(config.spec_fast, spacing=series.spacing)
-    slow = sliding_trend(series, build_kernel_bank(spec_slow))
-    fast = sliding_trend(series, build_kernel_bank(spec_fast))
-    std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, config.M))
-
-    start = fc.first_forecast_origin(spec_slow.window, spec_fast.window, config.M)
-    skipped = start - fc.first_origin(spec_slow.window, config.M)
+    slow, fast, std, start = forecast_setup(series, config)
+    skipped = start - fc.first_origin(config.spec_slow.window, config.M)
     results = []
     for h in config.horizons:
         origins = np.arange(start, n - h)
-        if len(origins) == 0:
-            raise ValueError(f"no scorable origins at horizon {h}")
         point = fc.forecast_point(
             slow, fast, std, origins, h,
             level=config.level, deadband_mult=config.deadband_rule,
@@ -176,30 +192,24 @@ def emit_report(report: BacktestReport, format: str = "text") -> str:
         raise ValueError(f"format must be 'text' or 'structured', got {format!r}")
     cfg = report.config
     if format == "structured":
-        lines = [
-            f"series={report.series_name}",
-            f"samples={report.samples}",
-            f"slow_window={cfg.spec_slow.window}",
-            f"fast_window={cfg.spec_fast.window}",
-            f"degree={cfg.spec_slow.degree}",
-            f"smoothing={cfg.spec_slow.smoothing}",
-            f"moment_window={cfg.M}",
-            f"level={cfg.level!r}",
-            f"deadband_mult={cfg.deadband_rule!r}",
+        pairs = [
+            ("series", report.series_name),
+            ("samples", report.samples),
+            ("slow_window", cfg.spec_slow.window),
+            ("fast_window", cfg.spec_fast.window),
+            ("degree", cfg.spec_slow.degree),
+            ("smoothing", cfg.spec_slow.smoothing),
+            ("moment_window", cfg.M),
+            ("level", cfg.level),
+            ("deadband_mult", cfg.deadband_rule),
         ]
         for r in report.results:
-            p = f"h{r.horizon}"
-            lines += [
-                f"{p}.exact_pct={r.exact_pct!r}",
-                f"{p}.nodecision_pct={r.nodecision_pct!r}",
-                f"{p}.wrong_pct={r.wrong_pct!r}",
-                f"{p}.rmse={r.rmse!r}",
-                f"{p}.coverage={r.coverage!r}",
-                f"{p}.het_ratio={r.het_ratio!r}",
-                f"{p}.origins={r.origins}",
-                f"{p}.skipped={r.skipped}",
+            pairs += [
+                (f"h{r.horizon}.{name}", getattr(r, name))
+                for name in ("exact_pct", "nodecision_pct", "wrong_pct", "rmse", "coverage",
+                             "het_ratio", "origins", "skipped")
             ]
-        return "\n".join(lines) + "\n"
+        return emit_kv(pairs)
     lines = [
         f"walk-forward backtest: {report.series_name} ({report.samples} samples)",
         f"slow window {cfg.spec_slow.window}, fast window {cfg.spec_fast.window}, "

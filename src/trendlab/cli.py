@@ -1,10 +1,12 @@
 """Command-line entry point wiring the full pipeline.
 
 One executable with subcommands (decompose, moments, forecast, backtest,
-gbm). Every output is computed fully before anything is written, and
-each file is written atomically (temp file + rename), so failures leave
-no partial outputs. Given identical inputs, flags, and seed, outputs are
-byte-identical across runs.
+gbm). forecast and backtest validate their flags as one BacktestConfig
+and share backtest.forecast_setup. Every output is computed fully before
+anything is written, and each file is written atomically (temp file +
+rename), so failures leave no partial outputs. Given identical inputs,
+flags, and seed, outputs are byte-identical across runs on one host and
+numpy build.
 """
 from __future__ import annotations
 
@@ -18,13 +20,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .backtest import BacktestConfig, emit_report, walk_forward
+from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
 from .decompose import emit_decomposition, oscillation_score, sliding_trend
-from .forecast import first_forecast_origin, forecast_point
+from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
-from .moments import emit_moments, moment_tracks, rolling_central_moment
-from .series_io import load_prices
+from .moments import emit_moments, moment_tracks
+from .series_io import date_labels, emit_kv, emit_table, load_prices
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -81,6 +83,17 @@ def _slow_spec(args: argparse.Namespace) -> EstimatorSpec:
     return EstimatorSpec(degree=args.degree, window=args.window, smoothing=args.smoothing)
 
 
+def _config(args: argparse.Namespace) -> BacktestConfig:
+    return BacktestConfig(
+        horizons=args.horizons,
+        spec_slow=_slow_spec(args),
+        spec_fast=replace(_slow_spec(args), window=args.fast_window),
+        M=args.moment_window,
+        level=args.level,
+        deadband_rule=args.deadband_mult,
+    )
+
+
 def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -95,18 +108,18 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
         threshold=args.oscillation_threshold,
         source=series,
     )
-    kv = (
-        f"series={series.name}\n"
-        f"samples={len(series)}\n"
-        f"window={bank.spec.window}\n"
-        f"degree={bank.spec.degree}\n"
-        f"smoothing={bank.spec.smoothing}\n"
-        f"score={report.score!r}\n"
-        f"scale={report.scale!r}\n"
-        f"min_window={report.min_window}\n"
-        f"threshold={report.threshold!r}\n"
-        f"verdict={report.verdict}\n"
-    )
+    kv = emit_kv([
+        ("series", series.name),
+        ("samples", len(series)),
+        ("window", bank.spec.window),
+        ("degree", bank.spec.degree),
+        ("smoothing", bank.spec.smoothing),
+        ("score", report.score),
+        ("scale", report.scale),
+        ("min_window", report.min_window),
+        ("threshold", report.threshold),
+        ("verdict", report.verdict),
+    ])
     stem = _stem(args.input)
     return _emit_all(args.out_dir, {
         f"{stem}_decomposition.csv": emit_decomposition(dec),
@@ -126,38 +139,28 @@ def _cmd_moments(args: argparse.Namespace) -> list[str]:
 
 def _cmd_forecast(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    slow = sliding_trend(series, build_kernel_bank(_slow_spec(args)))
-    fast = sliding_trend(series, build_kernel_bank(replace(_slow_spec(args), window=args.fast_window)))
-    std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, args.moment_window))
-    start = first_forecast_origin(args.window, args.fast_window, args.moment_window)
+    config = _config(args)
+    slow, fast, std, start = forecast_setup(series, config)
     n = len(series)
-    if start >= n:
-        raise ValueError(f"series too short: need at least {start + 1} samples, got {n}")
     origins = np.arange(start, n)
-    lines = ["date,horizon,trend_hat,lo,hi,position"]
-    for h in args.horizons:
-        point = forecast_point(
-            slow, fast, std, origins, h,
-            level=args.level, deadband_mult=args.deadband_mult,
-        )
-        columns = (origins, point.trend_hat, point.lo, point.hi, point.position)
-        for t, trend_hat, lo, hi, position in zip(*(c.tolist() for c in columns)):
-            lines.append(f"{series.date_label(t)},{h},{trend_hat!r},{lo!r},{hi!r},{position}")
+    points = [
+        forecast_point(slow, fast, std, origins, h, level=config.level, deadband_mult=config.deadband_rule)
+        for h in config.horizons
+    ]
+    text = emit_table(
+        ("date", "horizon", "trend_hat", "lo", "hi", "position"),
+        (date_labels(series.dates, start, n) * len(points),
+         np.repeat(config.horizons, len(origins)),
+         *(np.concatenate([getattr(p, name) for p in points])
+           for name in ("trend_hat", "lo", "hi", "position"))),
+    )
     stem = _stem(args.input)
-    return _emit_all(args.out_dir, {f"{stem}_forecast.csv": "\n".join(lines) + "\n"})
+    return _emit_all(args.out_dir, {f"{stem}_forecast.csv": text})
 
 
 def _cmd_backtest(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    config = BacktestConfig(
-        horizons=args.horizons,
-        spec_slow=_slow_spec(args),
-        spec_fast=replace(_slow_spec(args), window=args.fast_window),
-        M=args.moment_window,
-        level=args.level,
-        deadband_rule=args.deadband_mult,
-    )
-    report = walk_forward(series, config)
+    report = walk_forward(series, _config(args))
     stem = _stem(args.input)
     return _emit_all(args.out_dir, {
         f"{stem}_backtest.txt": emit_report(report, "text"),
@@ -175,21 +178,21 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         "quickly_fluctuating" if stat.p_hat <= args.oscillation_threshold
         else "not_quickly_fluctuating"
     )
-    kv = (
-        f"mu={params.mu!r}\n"
-        f"sigma={params.sigma!r}\n"
-        f"s0={params.s0!r}\n"
-        f"t_end={params.t_end!r}\n"
-        f"steps={params.steps}\n"
-        f"paths={params.paths}\n"
-        f"seed={params.seed}\n"
-        f"epsilon={stat.epsilon!r}\n"
-        f"p_hat={stat.p_hat!r}\n"
-        f"stderr={stat.stderr!r}\n"
-        f"threshold={args.oscillation_threshold!r}\n"
-        f"verdict={verdict}\n"
-        f"generator={NORMAL_SOURCE}\n"
-    )
+    kv = emit_kv([
+        ("mu", params.mu),
+        ("sigma", params.sigma),
+        ("s0", params.s0),
+        ("t_end", params.t_end),
+        ("steps", params.steps),
+        ("paths", params.paths),
+        ("seed", params.seed),
+        ("epsilon", stat.epsilon),
+        ("p_hat", stat.p_hat),
+        ("stderr", stat.stderr),
+        ("threshold", args.oscillation_threshold),
+        ("verdict", verdict),
+        ("generator", NORMAL_SOURCE),
+    ])
     return _emit_all(args.out_dir, {"gbm_stats.kv": kv})
 
 

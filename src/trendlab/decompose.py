@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .kernels import KernelBank
-from .series_io import PriceSeries
+from .series_io import PriceSeries, date_labels, emit_table
 
 QUICKLY_FLUCTUATING = "quickly_fluctuating"
 NOT_QUICKLY_FLUCTUATING = "not_quickly_fluctuating"
@@ -152,14 +152,9 @@ def oscillation_score(
 
 def emit_decomposition(dec: Decomposition) -> str:
     """Aligned rows as delimiter-separated text for plotting."""
-    lines = ["index,date,price,trend,d1,d2,fluctuation"]
-    src = dec.source
-    for a in range(len(dec)):
-        i = dec.source_index(a)
-        d1 = repr(float(dec.d1[a])) if dec.d1 is not None else ""
-        d2 = repr(float(dec.d2[a])) if dec.d2 is not None else ""
-        lines.append(
-            f"{i},{src.date_label(i)},{float(src.values[i])!r},"
-            f"{float(dec.trend[a])!r},{d1},{d2},{float(dec.fluctuation[a])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    src, n = dec.source, len(dec.source)
+    return emit_table(
+        ("index", "date", "price", "trend", "d1", "d2", "fluctuation"),
+        (np.arange(dec.warmup, n), date_labels(src.dates, dec.warmup, n),
+         src.values[dec.warmup :], dec.trend, dec.d1, dec.d2, dec.fluctuation),
+    )

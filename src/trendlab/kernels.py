@@ -30,6 +30,8 @@ from math import comb, factorial
 
 import numpy as np
 
+from .series_io import emit_table
+
 _COND_LIMIT = 1e12
 
 
@@ -231,9 +233,5 @@ def kernel_noise_gain(bank: KernelBank, order: int) -> float:
 
 def emit_weights(bank: KernelBank) -> str:
     """Weights as delimiter-separated text: offset, w_0, ..., w_N per row."""
-    header = "offset," + ",".join(f"w_{v}" for v in range(bank.spec.degree + 1))
-    lines = [header]
-    for j, tau in enumerate(bank.offsets):
-        row = [repr(float(tau))] + [repr(float(w[j])) for w in bank.weights]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = ("offset", *(f"w_{v}" for v in range(bank.spec.degree + 1)))
+    return emit_table(header, (bank.offsets.astype(float), *bank.weights))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .series_io import date_labels, emit_table
+
 _CHUNK_ROWS = 8192
 
 
@@ -22,10 +24,6 @@ class MomentTrack:
     p + warmup, warmup = M, length n - M."""
 
     M: int
-    mean_track: np.ndarray
-    ma2: np.ndarray
-    ma3: np.ndarray
-    ma4: np.ndarray
     std: np.ndarray
     skew: np.ndarray
     kurt: np.ndarray
@@ -37,7 +35,7 @@ class MomentTrack:
 
 
 def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
-    """Trailing-window mean and central moments, mean-first arithmetic.
+    """Trailing-window central moments, mean-first arithmetic.
 
     Chunked windowed evaluation; each window reduces over a contiguous
     axis, matching per-window recomputation bit for bit.
@@ -51,16 +49,13 @@ def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict
     if fluct.ndim != 1 or len(fluct) < m + 1:
         raise ValueError(f"need at least M+1 = {m + 1} samples, got {len(fluct)}")
     n = len(fluct)
-    out = {0: np.empty(n - m)}
-    for k in ks:
-        out[k] = np.empty(n - m)
+    out = {k: np.empty(n - m) for k in ks}
     windows = sliding_window_view(fluct, m + 1)
     for lo in range(0, n - m, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n - m)
         block = windows[lo:hi]
         mean = block.mean(axis=1)
         centered = block - mean[:, None]
-        out[0][lo:hi] = mean
         for k in ks:
             out[k][lo:hi] = (centered**k).sum(axis=1) / (m + 1)
     return out
@@ -88,7 +83,7 @@ def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
         ValueError: M < 1 or sequence shorter than M+1.
     """
     stats = _rolling_stats(fluctuation, M, (2, 3, 4))
-    mean_track, ma2, ma3, ma4 = stats[0], stats[2], stats[3], stats[4]
+    ma2, ma3, ma4 = stats[2], stats[3], stats[4]
     # MA_2 is a mean of squares, so it is >= 0 in float arithmetic too.
     defined = ma2 > 0.0
     std = np.sqrt(ma2)
@@ -96,14 +91,10 @@ def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
     kurt = np.full_like(ma2, np.nan)
     np.divide(ma3, ma2**1.5, out=skew, where=defined)
     np.divide(ma4, ma2**2, out=kurt, where=defined)
-    for arr in (mean_track, ma2, ma3, ma4, std, skew, kurt, defined):
+    for arr in (std, skew, kurt, defined):
         arr.setflags(write=False)
     return MomentTrack(
         M=M,
-        mean_track=mean_track,
-        ma2=ma2,
-        ma3=ma3,
-        ma4=ma4,
         std=std,
         skew=skew,
         kurt=kurt,
@@ -120,11 +111,10 @@ def emit_moments(track: MomentTrack, dates: tuple[str, ...] | None = None, offse
         offset: source index of fluctuation position 0 (the trend warmup
             when the fluctuation came from a decomposition).
     """
-    lines = ["index,date,std,skew,kurt"]
-    for p in range(len(track)):
-        i = p + track.warmup + offset
-        label = dates[i] if dates is not None else str(i)
-        skew = repr(float(track.skew[p])) if track.defined[p] else ""
-        kurt = repr(float(track.kurt[p])) if track.defined[p] else ""
-        lines.append(f"{i},{label},{float(track.std[p])!r},{skew},{kurt}")
-    return "\n".join(lines) + "\n"
+    lo = track.warmup + offset
+    undefined = ~track.defined
+    return emit_table(
+        ("index", "date", "std", "skew", "kurt"),
+        (np.arange(lo, lo + len(track)), date_labels(dates, lo, lo + len(track)), track.std,
+         np.ma.masked_array(track.skew, undefined), np.ma.masked_array(track.kurt, undefined)),
+    )

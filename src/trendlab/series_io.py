@@ -1,17 +1,22 @@
-"""Price file ingestion onto a uniform sample grid, and return series.
+"""Price file ingestion onto a uniform sample grid, and the output text format.
 
 Input files are delimiter-separated text with a header row; the date and
 price columns are selected by name. Rows map one-to-one onto grid steps:
 calendar gaps (weekends, holidays) are not interpolated, each row is one
 step of the uniform trading-day grid.
+
+Every output is written by one of two writers here: emit_table for
+comma-separated tables (header row, numbers as their repr, so floats
+round-trip exactly, and an empty cell for a missing value) and emit_kv
+for flat key=value summaries.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -54,34 +59,6 @@ class PriceSeries:
             raise ValueError(
                 f"dates length {len(self.dates)} does not match values length {len(values)}"
             )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def date_label(self, index: int) -> str:
-        """ISO date for one sample when known, else the bare index."""
-        if self.dates is not None:
-            return self.dates[index]
-        return str(index)
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Dimensionless returns; value i is aligned to sample time i+1."""
-
-    kind: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("simple", "logarithmic"):
-            raise ValueError(f"kind must be 'simple' or 'logarithmic', got {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("returns must be finite")
-        if self.kind == "simple" and not np.all(values > -1.0):
-            raise ValueError("simple returns must exceed -1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -157,25 +134,48 @@ def load_prices(
     )
 
 
+def date_labels(dates: Optional[Sequence[str]], start: int, stop: int) -> Sequence[str]:
+    """Labels of source indices start..stop-1: their ISO dates when known,
+    else the bare indices."""
+    if dates is not None:
+        return dates[start:stop]
+    return list(map(str, range(start, stop)))
+
+
+def _cells(column) -> Sequence[str]:
+    if isinstance(column, np.ma.MaskedArray):
+        masked = np.ma.getmaskarray(column).tolist()
+        return ["" if m else repr(v) for v, m in zip(column.data.tolist(), masked)]
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        return values if column.dtype.kind == "U" else list(map(repr, values))
+    return column
+
+
+def emit_table(header: Sequence[str], columns: Sequence) -> str:
+    """Comma-separated text: the header row, then one row per column entry.
+
+    A numpy column is written as the repr of each .tolist() value (string
+    arrays as they are), masked entries of a masked array as empty cells,
+    and a None column as empty cells throughout. Any other column is a
+    sequence of strings written as they are.
+
+    Raises:
+        ValueError: columns of different lengths.
+    """
+    lengths = {len(c) for c in columns if c is not None}
+    if len(lengths) != 1:
+        raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+    (rows,) = lengths
+    cells = [[""] * rows if c is None else _cells(c) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+
+
+def emit_kv(pairs: Iterable[tuple[str, object]]) -> str:
+    """One key=value line per pair: strings as they are, other values by repr."""
+    return "".join(f"{k}={v if isinstance(v, str) else repr(v)}\n" for k, v in pairs)
+
+
 def dump_prices(series: PriceSeries, date_col: str = "Date", price_col: str = "Close") -> str:
     """Re-emit a series as delimiter-separated text, full double precision."""
-    lines = [f"{date_col},{price_col}"]
-    for i, value in enumerate(series.values):
-        lines.append(f"{series.date_label(i)},{float(value)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def returns(series: PriceSeries, kind: str = "logarithmic") -> ReturnSeries:
-    """Per-step returns of a price series.
-
-    simple:       r_i = (f(t_{i+1}) - f(t_i)) / f(t_i)
-    logarithmic:  r_i = ln(f(t_{i+1}) / f(t_i)) = ln(1 + simple r_i)
-    """
-    if kind not in ("simple", "logarithmic"):
-        raise ValueError(f"kind must be 'simple' or 'logarithmic', got {kind!r}")
-    v = series.values
-    if kind == "simple":
-        vals = np.diff(v) / v[:-1]
-    else:
-        vals = np.diff(np.log(v))
-    return ReturnSeries(kind=kind, values=vals)
+    return emit_table((date_col, price_col), (date_labels(series.dates, 0, len(series)), series.values))

@@ -212,11 +212,16 @@ class TestWalkForward:
         report = walk_forward(PriceSeries("s", values), cfg)
         assert report.results[0].origins == 5
 
-
     def test_no_origin_left_for_the_fast_window(self):
+        # the fast window (17) outgrows the slow-side bound 2 * 4 + 6 = 14
         cfg = replace(SMALL, spec_fast=EstimatorSpec(degree=2, window=17))
-        with pytest.raises(ValueError, match="no scorable origins at horizon 1"):
-            walk_forward(random_walk(cfg.min_samples(), seed=1), cfg)
+        need = cfg.min_samples()
+        assert need == 16 + 2 + 1
+        with pytest.raises(ValueError, match=f"series too short: need at least {need} samples"):
+            walk_forward(random_walk(need - 1, seed=1), cfg)
+        report = walk_forward(random_walk(need, seed=1), cfg)
+        assert report.results[-1].horizon == max(cfg.horizons)
+        assert report.results[-1].origins == 1
 
 
 class TestArrayPathMatchesPerOriginLoop:

@@ -132,6 +132,31 @@ class TestBacktest:
         assert not (tmp_path / "short_backtest.kv").exists()
 
 
+class TestForecastAndBacktestShareTheConfigChecks:
+    @pytest.mark.parametrize("sub", ["forecast", "backtest"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--horizons", "0"], "horizons must be integers >= 1, got (0,)"),
+            (["--horizons=-1"], "horizons must be integers >= 1, got (-1,)"),
+            (["--deadband-mult", "-1"], "deadband_rule must be >= 0, got -1.0"),
+            (["--level", "1.5"], "level must be inside (0, 1), got 1.5"),
+            (["--moment-window", "0"], "M must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_invalid_flags_exit_2_with_one_message(self, sub, flags, message, noisy_csv, tmp_path, capsys):
+        rc = main([sub, "--input", str(noisy_csv), *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob("prices_*")) == []
+
+    @pytest.mark.parametrize("sub, need", [("forecast", 2 * 20 + 400 + 1), ("backtest", 2 * 20 + 400 + 5 + 1)])
+    def test_too_short_for_the_moment_window(self, sub, need, noisy_csv, tmp_path, capsys):
+        rc = main([sub, "--input", str(noisy_csv), "--moment-window", "400", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: series too short: need at least {need} samples, got 300\n"
+
+
 class TestWideFastWindow:
     def test_forecast_and_backtest_share_the_first_origin(self, tmp_path):
         rng = np.random.default_rng(23)

@@ -28,10 +28,6 @@ def constant_kurt_track(std: np.ndarray, kurt: float = 3.0) -> MomentTrack:
     n = len(std)
     return MomentTrack(
         M=3,
-        mean_track=np.zeros(n),
-        ma2=std**2,
-        ma3=np.zeros(n),
-        ma4=kurt * std**4,
         std=std,
         skew=np.zeros(n),
         kurt=np.full(n, kurt),
@@ -118,10 +114,6 @@ class TestForecastMoments:
         n = 10
         track = MomentTrack(
             M=3,
-            mean_track=np.zeros(n),
-            ma2=np.zeros(n),
-            ma3=np.zeros(n),
-            ma4=np.zeros(n),
             std=np.zeros(n),
             skew=np.full(n, np.nan),
             kurt=np.full(n, np.nan),

@@ -1,11 +1,11 @@
-"""Price file parsing, validation, serialization, and returns."""
+"""Price file parsing, validation, and serialization."""
 import math
 
 import numpy as np
 import pytest
 
 from conftest import write_price_csv
-from trendlab.series_io import PriceSeries, ReturnSeries, dump_prices, load_prices, returns
+from trendlab.series_io import PriceSeries, date_labels, dump_prices, load_prices
 
 
 class TestPriceSeries:
@@ -45,9 +45,9 @@ class TestPriceSeries:
 
     def test_date_label_falls_back_to_index(self):
         s = PriceSeries("acme", np.array([1.0, 2.0]))
-        assert s.date_label(1) == "1"
+        assert list(date_labels(s.dates, 1, 2)) == ["1"]
         t = PriceSeries("acme", np.array([1.0, 2.0]), dates=("2020-01-01", "2020-01-02"))
-        assert t.date_label(1) == "2020-01-02"
+        assert list(date_labels(t.dates, 1, 2)) == ["2020-01-02"]
 
 
 class TestLoadPrices:
@@ -135,32 +135,3 @@ class TestDumpPrices:
         again = load_prices(str(out), name=s.name)
         np.testing.assert_array_equal(again.values, s.values)
         assert again.dates == s.dates
-
-
-class TestReturns:
-    def test_log_returns(self):
-        s = PriceSeries("acme", np.array([100.0, 110.0, 99.0]))
-        r = returns(s, kind="logarithmic")
-        assert r.kind == "logarithmic"
-        assert len(r) == 2
-        np.testing.assert_allclose(
-            r.values, [math.log(1.1), math.log(99.0 / 110.0)], rtol=1e-12
-        )
-
-    def test_simple_returns(self):
-        s = PriceSeries("acme", np.array([100.0, 110.0]))
-        r = returns(s, kind="simple")
-        np.testing.assert_allclose(r.values, [0.1], rtol=1e-12)
-
-    def test_default_kind_is_logarithmic(self):
-        s = PriceSeries("acme", np.array([100.0, 110.0]))
-        assert returns(s).kind == "logarithmic"
-
-    def test_unknown_kind_rejected(self):
-        s = PriceSeries("acme", np.array([100.0, 110.0]))
-        with pytest.raises(ValueError, match="kind must be 'simple' or 'logarithmic'"):
-            returns(s, kind="arith")
-
-    def test_return_series_validates_kind(self):
-        with pytest.raises(ValueError, match="kind must be"):
-            ReturnSeries("weird", np.array([0.1]))
