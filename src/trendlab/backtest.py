@@ -12,7 +12,7 @@ are aggregated per horizon.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 from typing import Sequence
 
@@ -41,6 +41,8 @@ class BacktestConfig:
             raise ValueError("horizons must be nonempty")
         if any((not isinstance(h, int)) or h < 1 for h in self.horizons):
             raise ValueError(f"horizons must be integers >= 1, got {self.horizons!r}")
+        if len(set(self.horizons)) != len(self.horizons):
+            raise ValueError(f"horizons must be distinct, got {self.horizons!r}")
         if not isinstance(self.M, int) or self.M < 1:
             raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
         if not 0.0 < self.level < 1.0:
@@ -113,7 +115,8 @@ def score_positions(
 def forecast_setup(series: PriceSeries, config: BacktestConfig):
     """Slow and fast decompositions, slow std track, and first origin.
 
-    Estimator specs are rebuilt on the series' own spacing.
+    The banks are built from config.spec_slow and config.spec_fast as
+    given; their spacing is the sample interval the forecasts step in.
 
     Returns:
         (slow, fast, std, start): forecast_point runs at every origin
@@ -126,8 +129,8 @@ def forecast_setup(series: PriceSeries, config: BacktestConfig):
     n = len(series)
     if n <= start:
         raise ValueError(f"series too short: need at least {start + 1} samples, got {n}")
-    slow = sliding_trend(series, build_kernel_bank(replace(config.spec_slow, spacing=series.spacing)))
-    fast = sliding_trend(series, build_kernel_bank(replace(config.spec_fast, spacing=series.spacing)))
+    slow = sliding_trend(series, build_kernel_bank(config.spec_slow))
+    fast = sliding_trend(series, build_kernel_bank(config.spec_fast))
     std = np.sqrt(rolling_central_moment(slow.fluctuation, 2, config.M))
     return slow, fast, std, start
 

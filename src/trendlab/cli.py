@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
-from .decompose import emit_decomposition, oscillation_score, sliding_trend
+from .decompose import (NOT_QUICKLY_FLUCTUATING, QUICKLY_FLUCTUATING, emit_decomposition,
+                        oscillation_score, sliding_trend)
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
@@ -61,7 +62,7 @@ def _horizon_list(text: str) -> tuple[int, ...]:
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", required=True, help="price file (delimiter-separated text with header)")
-    sub.add_argument("--date-col", default="Date", help="date column name (ISO-8601 dates)")
+    sub.add_argument("--date-col", default="Date", help="date column name (YYYY-MM-DD dates)")
     sub.add_argument("--price-col", default="Close", help="price column name (currency units)")
 
 
@@ -94,10 +95,6 @@ def _config(args: argparse.Namespace) -> BacktestConfig:
     )
 
 
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
-
-
 def _cmd_decompose(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     bank = build_kernel_bank(_slow_spec(args))
@@ -120,10 +117,9 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
         ("threshold", report.threshold),
         ("verdict", report.verdict),
     ])
-    stem = _stem(args.input)
     return _emit_all(args.out_dir, {
-        f"{stem}_decomposition.csv": emit_decomposition(dec),
-        f"{stem}_oscillation.kv": kv,
+        f"{series.name}_decomposition.csv": emit_decomposition(dec),
+        f"{series.name}_oscillation.kv": kv,
     })
 
 
@@ -133,8 +129,7 @@ def _cmd_moments(args: argparse.Namespace) -> list[str]:
     dec = sliding_trend(series, bank)
     track = moment_tracks(dec.fluctuation, args.moment_window)
     text = emit_moments(track, dates=series.dates, offset=dec.warmup)
-    stem = _stem(args.input)
-    return _emit_all(args.out_dir, {f"{stem}_moments.csv": text})
+    return _emit_all(args.out_dir, {f"{series.name}_moments.csv": text})
 
 
 def _cmd_forecast(args: argparse.Namespace) -> list[str]:
@@ -154,17 +149,15 @@ def _cmd_forecast(args: argparse.Namespace) -> list[str]:
          *(np.concatenate([getattr(p, name) for p in points])
            for name in ("trend_hat", "lo", "hi", "position"))),
     )
-    stem = _stem(args.input)
-    return _emit_all(args.out_dir, {f"{stem}_forecast.csv": text})
+    return _emit_all(args.out_dir, {f"{series.name}_forecast.csv": text})
 
 
 def _cmd_backtest(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     report = walk_forward(series, _config(args))
-    stem = _stem(args.input)
     return _emit_all(args.out_dir, {
-        f"{stem}_backtest.txt": emit_report(report, "text"),
-        f"{stem}_backtest.kv": emit_report(report, "structured"),
+        f"{series.name}_backtest.txt": emit_report(report, "text"),
+        f"{series.name}_backtest.kv": emit_report(report, "structured"),
     })
 
 
@@ -174,10 +167,7 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         steps=args.steps, paths=args.paths, seed=args.seed,
     )
     stat = oscillation_probability(params, args.epsilon)
-    verdict = (
-        "quickly_fluctuating" if stat.p_hat <= args.oscillation_threshold
-        else "not_quickly_fluctuating"
-    )
+    verdict = QUICKLY_FLUCTUATING if stat.p_hat <= args.oscillation_threshold else NOT_QUICKLY_FLUCTUATING
     kv = emit_kv([
         ("mu", params.mu),
         ("sigma", params.sigma),

@@ -40,9 +40,6 @@ class Decomposition:
     def __len__(self) -> int:
         return len(self.trend)
 
-    def source_index(self, position: int) -> int:
-        return position + self.warmup
-
     def position(self, source_index):
         """Aligned position(s) of a source index or integer array; rejects warm-up indices."""
         pos = source_index - self.warmup

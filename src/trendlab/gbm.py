@@ -66,16 +66,14 @@ class ResidualStat:
     paths: int
 
 
-def _standard_normals(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    # 2^53 is a power of two: one uint64 per draw, no rejection, so the
-    # stream position after r rows equals any other chunking of r rows.
-    u = (rng.integers(0, 1 << 53, size=(rows, cols)) + 0.5) * 2.0**-53
-    return ndtri(u)
-
-
 def _price_blocks(params: GbmParams) -> Iterator[tuple[int, np.ndarray]]:
     """The ensemble in consecutive row blocks of at most _CHUNK_VALUES
-    normals: yields (first row, prices at grid times 1..steps)."""
+    normals: yields (first row, block), a fresh (rows, steps+1) array of
+    prices on the full grid, column 0 = s0, that the consumer may modify.
+
+    2^53 is a power of two: one uint64 per normal, no rejection, so the
+    stream position after r rows equals any other chunking of r rows.
+    """
     dt = params.t_end / params.steps
     drift = (params.mu - 0.5 * params.sigma**2) * dt
     vol = params.sigma * sqrt(dt)
@@ -83,11 +81,20 @@ def _price_blocks(params: GbmParams) -> Iterator[tuple[int, np.ndarray]]:
     rows_per_block = max(1, _CHUNK_VALUES // params.steps)
     for lo in range(0, params.paths, rows_per_block):
         rows = min(rows_per_block, params.paths - lo)
-        # No named block: the consumer holds the previous yield while this
-        # one is drawn, so a local kept here would add a block to the peak.
-        yield lo, params.s0 * np.exp(
-            np.cumsum(drift + vol * _standard_normals(rng, rows, params.steps), axis=1)
-        )
+        dlog = rng.integers(0, 1 << 53, size=(rows, params.steps)).astype(float)
+        dlog += 0.5
+        dlog *= 2.0**-53
+        ndtri(dlog, out=dlog)
+        dlog *= vol
+        dlog += drift
+        block = np.empty((rows, params.steps + 1))
+        block[:, 0] = 0.0  # log(S / s0) at t = 0
+        np.cumsum(dlog, axis=1, out=block[:, 1:])
+        # the suspended generator would keep it alive through the next draw
+        del dlog
+        np.exp(block, out=block)
+        block *= params.s0
+        yield lo, block
 
 
 def simulate_paths(params: GbmParams) -> np.ndarray:
@@ -98,9 +105,8 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
     Deterministic given params.seed.
     """
     out = np.empty((params.paths, params.steps + 1))
-    out[:, 0] = params.s0
-    for lo, prices in _price_blocks(params):
-        out[lo : lo + len(prices), 1:] = prices
+    for lo, block in _price_blocks(params):
+        out[lo : lo + len(block)] = block
     return out
 
 
@@ -137,11 +143,9 @@ def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
     t = params.grid()
     mean_trend = params.s0 * np.exp(params.mu * t)
     exceed = 0
-    for _, prices in _price_blocks(params):
-        block = np.empty((len(prices), params.steps + 1))
-        block[:, 0] = params.s0
-        block[:, 1:] = prices
-        integrals = np.trapezoid(block - mean_trend, t, axis=1)
+    for _, block in _price_blocks(params):
+        block -= mean_trend
+        integrals = np.trapezoid(block, t, axis=1)
         exceed += int(np.count_nonzero(np.abs(integrals) > epsilon))
     p_hat = exceed / params.paths
     stderr = sqrt(p_hat * (1.0 - p_hat) / params.paths)

@@ -72,14 +72,10 @@ class KernelBank:
 
     weights[v][j] multiplies the sample at offset (j - W + 1) * spacing;
     the dot product estimates the v-th derivative at the newest sample.
-    noise_gains[v] is the Euclidean norm of w_v: independent zero-mean
-    noise of standard deviation s on the samples gives estimator output
-    noise of standard deviation exactly noise_gains[v] * s.
     """
 
     spec: EstimatorSpec
     weights: tuple[np.ndarray, ...]
-    noise_gains: tuple[float, ...]
 
     @property
     def offsets(self) -> np.ndarray:
@@ -186,7 +182,6 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
         )
 
     weights = []
-    gains = []
     for v in range(n + 1):
         coeffs = np.array([float(c) for c in qs[v]])
         density = np.polynomial.polynomial.polyval(u, coeffs)
@@ -197,9 +192,8 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
         w_v = raw - q_fact @ np.linalg.solve(r_fact.T, resid)
         w_v.setflags(write=False)
         weights.append(w_v)
-        gains.append(float(np.linalg.norm(w_v)))
 
-    bank = KernelBank(spec=spec, weights=tuple(weights), noise_gains=tuple(gains))
+    bank = KernelBank(spec=spec, weights=tuple(weights))
     _verify_exactness(bank)
     return bank
 

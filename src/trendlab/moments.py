@@ -23,7 +23,6 @@ class MomentTrack:
     """Rolling moment tracks; position p corresponds to fluctuation index
     p + warmup, warmup = M, length n - M."""
 
-    M: int
     std: np.ndarray
     skew: np.ndarray
     kurt: np.ndarray
@@ -93,14 +92,7 @@ def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
     np.divide(ma4, ma2**2, out=kurt, where=defined)
     for arr in (std, skew, kurt, defined):
         arr.setflags(write=False)
-    return MomentTrack(
-        M=M,
-        std=std,
-        skew=skew,
-        kurt=kurt,
-        defined=defined,
-        warmup=M,
-    )
+    return MomentTrack(std=std, skew=skew, kurt=kurt, defined=defined, warmup=M)
 
 
 def emit_moments(track: MomentTrack, dates: tuple[str, ...] | None = None, offset: int = 0) -> str:

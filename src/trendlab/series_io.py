@@ -1,9 +1,11 @@
 """Price file ingestion onto a uniform sample grid, and the output text format.
 
 Input files are delimiter-separated text with a header row; the date and
-price columns are selected by name. Rows map one-to-one onto grid steps:
-calendar gaps (weekends, holidays) are not interpolated, each row is one
-step of the uniform trading-day grid.
+price columns are selected by name and must each appear once. Dates are
+YYYY-MM-DD (ASCII digits, a real calendar day) on every supported Python.
+Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
+are not interpolated, each row is one step of the uniform trading-day
+grid, whose interval is kernels.EstimatorSpec.spacing.
 
 Every output is written by one of two writers here: emit_table for
 comma-separated tables (header row, numbers as their repr, so floats
@@ -14,11 +16,16 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import re
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+# [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -26,18 +33,13 @@ class PriceSeries:
     """Uniformly indexed positive price samples.
 
     Attributes:
-        name: text label for reports.
+        name: text label for reports and output file names.
         values: price samples in currency units, strictly positive.
-        spacing: sample interval in trading days (default 1).
-        epoch: calendar date of the first sample, when known; index i
-            sits at time epoch + i * spacing on the trading-day grid.
         dates: per-row ISO date strings as read from the file, when known.
     """
 
     name: str
     values: np.ndarray
-    spacing: float = 1.0
-    epoch: Optional[date] = None
     dates: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
@@ -53,8 +55,6 @@ class PriceSeries:
         if not np.all(values > 0):
             bad = int(np.argmin(values > 0))
             raise ValueError(f"non-positive price {values[bad]!r} at index {bad}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
         if self.dates is not None and len(self.dates) != len(values):
             raise ValueError(
                 f"dates length {len(self.dates)} does not match values length {len(values)}"
@@ -66,6 +66,18 @@ class PriceSeries:
         return len(self.values)
 
 
+def _iso_day(cell: Optional[str]) -> Optional[str]:
+    """The stripped cell when it is a YYYY-MM-DD date that exists, else None."""
+    day = (cell or "").strip()
+    if _ISO_DATE.fullmatch(day):
+        try:
+            date.fromisoformat(day)
+            return day
+        except ValueError:
+            pass
+    return None
+
+
 def load_prices(
     path: str,
     date_col: str = "Date",
@@ -75,48 +87,57 @@ def load_prices(
 ) -> PriceSeries:
     """Read a delimiter-separated price file.
 
+    Header names and date cells are stripped of whitespace, and dates are
+    kept as read. Blank lines are skipped and not counted: the header is
+    row 1 and data rows are numbered from 2.
+
     Args:
         path: file location.
-        date_col: header name of the date column (ISO-8601 dates).
+        date_col: header name of the date column.
         price_col: header name of the price column.
         delimiter: field separator.
-        name: series label; defaults to the file's base name.
+        name: series label; defaults to the file's base name without its
+            extension, which the CLI also uses as its output file stem.
 
     Returns:
         PriceSeries on the uniform trading-day grid, row order preserved.
 
     Raises:
-        ValueError: missing columns, unparsable rows, non-finite or
-            non-positive prices, or non-monotone dates, with the offending
-            row number.
+        ValueError: missing or repeated columns, unparsable rows,
+            non-finite or non-positive prices, or non-monotone dates,
+            with the offending row number.
     """
     values: list[float] = []
-    dates: list[date] = []
+    dates: list[str] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        if reader.fieldnames is None:
+        reader = csv.reader(handle, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        fields = [f.strip() for f in reader.fieldnames]
+        fields = [f.strip() for f in header]
         if date_col not in fields or price_col not in fields:
             raise ValueError(
                 f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
             )
-        for row_no, row in enumerate(reader, start=2):  # header is row 1
-            raw = {(k.strip() if k else k): v for k, v in row.items()}
+        for col in (date_col, price_col):
+            if fields.count(col) > 1:
+                raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
+        di, pi = fields.index(date_col), fields.index(price_col)
+        width = max(di, pi) + 1
+        for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
+            row += [None] * (width - len(row))  # a short row reads as missing cells
+            day = _iso_day(row[di])
+            if day is None:
+                raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
             try:
-                day = date.fromisoformat(raw[date_col].strip())
-            except (ValueError, AttributeError, KeyError) as exc:
-                raise ValueError(f"{path} row {row_no}: unparsable date {raw.get(date_col)!r}") from exc
-            try:
-                price = float(raw[price_col])
-            except (TypeError, ValueError, KeyError) as exc:
-                raise ValueError(
-                    f"{path} row {row_no}: unparsable price {raw.get(price_col)!r}"
-                ) from exc
+                price = float(row[pi])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} row {row_no}: unparsable price {row[pi]!r}") from exc
             if not math.isfinite(price):
                 raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
             if not price > 0:
                 raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
+            # fixed-width YYYY-MM-DD strings order as their dates do
             if dates and day <= dates[-1]:
                 raise ValueError(
                     f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
@@ -125,13 +146,8 @@ def load_prices(
             values.append(price)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
-    label = name if name is not None else path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-    return PriceSeries(
-        name=label,
-        values=np.array(values),
-        epoch=dates[0],
-        dates=tuple(d.isoformat() for d in dates),
-    )
+    label = name if name is not None else os.path.splitext(os.path.basename(path))[0]
+    return PriceSeries(name=label, values=np.array(values), dates=tuple(dates))
 
 
 def date_labels(dates: Optional[Sequence[str]], start: int, stop: int) -> Sequence[str]:

@@ -42,12 +42,8 @@ def random_walk(n: int, seed: int) -> PriceSeries:
 
 
 def decompositions(series: PriceSeries, config: BacktestConfig):
-    slow = sliding_trend(
-        series, build_kernel_bank(replace(config.spec_slow, spacing=series.spacing))
-    )
-    fast = sliding_trend(
-        series, build_kernel_bank(replace(config.spec_fast, spacing=series.spacing))
-    )
+    slow = sliding_trend(series, build_kernel_bank(config.spec_slow))
+    fast = sliding_trend(series, build_kernel_bank(config.spec_fast))
     return slow, fast, moment_tracks(slow.fluctuation, config.M)
 
 
@@ -182,7 +178,11 @@ class TestWalkForward:
         t = np.arange(260)
         values = 60.0 + 5.0 * np.sin(2.0 * np.pi * t / 125.0)
         a = walk_forward(PriceSeries("s", values), BacktestConfig())
-        b = walk_forward(PriceSeries("s", values, spacing=0.5), BacktestConfig())
+        half = BacktestConfig(
+            spec_slow=EstimatorSpec(degree=2, window=21, spacing=0.5),
+            spec_fast=EstimatorSpec(degree=2, window=7, spacing=0.5),
+        )
+        b = walk_forward(PriceSeries("s", values), half)
         for ra, rb in zip(a.results, b.results):
             assert ra.exact_pct == rb.exact_pct
             assert ra.nodecision_pct == rb.nodecision_pct

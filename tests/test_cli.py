@@ -139,6 +139,7 @@ class TestForecastAndBacktestShareTheConfigChecks:
         [
             (["--horizons", "0"], "horizons must be integers >= 1, got (0,)"),
             (["--horizons=-1"], "horizons must be integers >= 1, got (-1,)"),
+            (["--horizons", "1,1"], "horizons must be distinct, got (1, 1)"),
             (["--deadband-mult", "-1"], "deadband_rule must be >= 0, got -1.0"),
             (["--level", "1.5"], "level must be inside (0, 1), got 1.5"),
             (["--moment-window", "0"], "M must be an integer >= 1, got 0"),

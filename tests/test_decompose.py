@@ -59,7 +59,6 @@ class TestSlidingTrend:
         dec = sliding_trend(PriceSeries("s", values), BANK)
         assert dec.warmup == 20
         assert len(dec) == 30
-        assert dec.source_index(0) == 20
         assert dec.position(20) == 0
         assert dec.position(49) == 29
         assert dec.position(np.array([20, 35, 49])).tolist() == [0, 15, 29]

@@ -27,7 +27,6 @@ BANK = build_kernel_bank(EstimatorSpec())
 def constant_kurt_track(std: np.ndarray, kurt: float = 3.0) -> MomentTrack:
     n = len(std)
     return MomentTrack(
-        M=3,
         std=std,
         skew=np.zeros(n),
         kurt=np.full(n, kurt),
@@ -76,9 +75,7 @@ class TestForecastTrend:
         values = 100.0 + 2.0 * t  # one unit of slope per sample
         dec1 = sliding_trend(PriceSeries("s", values), BANK)
         spec2 = EstimatorSpec(spacing=0.5)
-        dec2 = sliding_trend(
-            PriceSeries("s", values, spacing=0.5), build_kernel_bank(spec2)
-        )
+        dec2 = sliding_trend(PriceSeries("s", values), build_kernel_bank(spec2))
         # h counts grid steps in both cases, so forecasts agree.
         assert forecast_trend(dec1, 60, 4) == pytest.approx(
             forecast_trend(dec2, 60, 4), rel=1e-9
@@ -113,8 +110,7 @@ class TestForecastMoments:
         bank = build_kernel_bank(EstimatorSpec(degree=2, window=7))
         n = 10
         track = MomentTrack(
-            M=3,
-            std=np.zeros(n),
+                std=np.zeros(n),
             skew=np.full(n, np.nan),
             kurt=np.full(n, np.nan),
             defined=np.zeros(n, dtype=bool),

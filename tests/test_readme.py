@@ -1,16 +1,26 @@
-"""The README's library example runs as written against src/."""
+"""The README's library example runs as written against src/, and its
+command lines parse with the current CLI."""
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from trendlab.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def fenced(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README, flags=re.S | re.M)
 
 
 def test_readme_python_example_runs():
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    blocks = fenced("python")
     assert blocks, "README.md has no python example"
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     for code in blocks:
@@ -20,3 +30,14 @@ def test_readme_python_example_runs():
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_command_lines_parse():
+    lines = [line for block in fenced("sh") for line in block.splitlines()
+             if line.startswith("trendlab ")]
+    assert lines, "README.md has no trendlab command line"
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: {line}")

@@ -1,18 +1,72 @@
 """Price file parsing, validation, and serialization."""
+import csv
+import dataclasses
+import io
 import math
+import tempfile
+from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_price_csv
 from trendlab.series_io import PriceSeries, date_labels, dump_prices, load_prices
+
+
+def dictreader_load_prices(path, date_col="Date", price_col="Close", delimiter=",", name=None):
+    """The csv.DictReader loader load_prices replaced, kept as its oracle.
+
+    It differs from load_prices only where that tightened the input: on
+    Python 3.11+ date.fromisoformat also accepts basic and week dates,
+    and a repeated column silently keeps its last copy.
+    """
+    values = []
+    dates = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle, delimiter=delimiter)
+        if reader.fieldnames is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        fields = [f.strip() for f in reader.fieldnames]
+        if date_col not in fields or price_col not in fields:
+            raise ValueError(
+                f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
+            )
+        for row_no, row in enumerate(reader, start=2):  # header is row 1
+            raw = {(k.strip() if k else k): v for k, v in row.items()}
+            try:
+                day = date.fromisoformat(raw[date_col].strip())
+            except (ValueError, AttributeError, KeyError) as exc:
+                raise ValueError(f"{path} row {row_no}: unparsable date {raw.get(date_col)!r}") from exc
+            try:
+                price = float(raw[price_col])
+            except (TypeError, ValueError, KeyError) as exc:
+                raise ValueError(
+                    f"{path} row {row_no}: unparsable price {raw.get(price_col)!r}"
+                ) from exc
+            if not math.isfinite(price):
+                raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
+            if not price > 0:
+                raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
+            if dates and day <= dates[-1]:
+                raise ValueError(
+                    f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
+                )
+            dates.append(day)
+            values.append(price)
+    if len(values) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
+    label = name if name is not None else path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
+    return PriceSeries(name=label, values=np.array(values), dates=tuple(d.isoformat() for d in dates))
 
 
 class TestPriceSeries:
     def test_basic_construction(self):
         s = PriceSeries("acme", np.array([1.0, 2.0, 3.0]))
         assert len(s) == 3
-        assert s.spacing == 1.0
+        assert s.dates is None
         assert s.values.dtype == np.float64
 
     def test_values_are_read_only(self):
@@ -39,9 +93,11 @@ class TestPriceSeries:
         with pytest.raises(ValueError, match=r"non-finite price .* at index 1"):
             PriceSeries("acme", np.array([1.0, bad, 2.0]))
 
-    def test_rejects_non_positive_spacing(self):
-        with pytest.raises(ValueError, match="spacing must be positive"):
-            PriceSeries("acme", np.array([1.0, 2.0]), spacing=0.0)
+    def test_sample_interval_is_not_a_series_field(self):
+        # kernels.EstimatorSpec.spacing is its one owner
+        assert [f.name for f in dataclasses.fields(PriceSeries)] == ["name", "values", "dates"]
+        with pytest.raises(TypeError):
+            PriceSeries("acme", np.array([1.0, 2.0]), spacing=0.5)
 
     def test_date_label_falls_back_to_index(self):
         s = PriceSeries("acme", np.array([1.0, 2.0]))
@@ -73,6 +129,29 @@ class TestLoadPrices:
     def test_name_override(self, tmp_path):
         path = write_price_csv(tmp_path / "raw.csv", [1.0, 2.0])
         assert load_prices(str(path), name="renamed").name == "renamed"
+
+    @pytest.mark.parametrize("name, label", [
+        ("acme.csv", "acme"), ("a.b.csv", "a.b"), ("noext", "noext"), (".hidden", ".hidden"),
+    ])
+    def test_default_name_is_the_base_name_without_extension(self, tmp_path, name, label):
+        path = write_price_csv(tmp_path / name, [1.0, 2.0])
+        assert load_prices(str(path)).name == label
+
+    @pytest.mark.parametrize("bad", ["20200102", "2020-W01-1", "\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0662"])
+    def test_dates_outside_the_grammar_rejected(self, tmp_path, bad):
+        # basic and week dates parse with date.fromisoformat on Python
+        # 3.11+ only; Arabic-Indic digits match \d but not [0-9]
+        path = tmp_path / "bad.csv"
+        path.write_text(f"Date,Close\n2020-01-01,10\n{bad},11\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"row 3: unparsable date"):
+            load_prices(str(path))
+
+    @pytest.mark.parametrize("header", ["Date,Close,Close", "Close,Date, Close ", "Date,Close,Date"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n2021-01-01,10,11\n2021-01-02,11,12\n")
+        with pytest.raises(ValueError, match="repeated column"):
+            load_prices(str(path))
 
     def test_unparsable_date_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -135,3 +214,76 @@ class TestDumpPrices:
         again = load_prices(str(out), name=s.name)
         np.testing.assert_array_equal(again.values, s.values)
         assert again.dates == s.dates
+
+
+@st.composite
+def price_files(draw):
+    """Text of a price file plus its delimiter: ISO dates, extra columns,
+    padded and quoted cells, blank lines, short and long rows, and at most
+    one corrupted row."""
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|"]))
+    extras = draw(st.lists(st.sampled_from(["Open", "Volume", "note", ""]), max_size=3))
+    layout = draw(st.permutations(["Date", "Close", *(f"x{i}" for i in range(len(extras)))]))
+    pad = st.sampled_from(["", " ", "  "] + ([] if delimiter == "\t" else ["\t"]))
+    names = {"Date": "Date", "Close": "Close", **{f"x{i}": e for i, e in enumerate(extras)}}
+    header = [draw(pad) + names[c] + draw(pad) for c in layout]
+
+    n = draw(st.integers(0, 12))
+    day = date(2020, 1, 1) + timedelta(days=draw(st.integers(0, 3000)))
+    rows = []
+    for _ in range(n):
+        day += timedelta(days=draw(st.integers(1, 5)))
+        price = draw(st.floats(0.01, 1e6, allow_nan=False))
+        text = draw(st.sampled_from([repr(price), f"{price:.2f}", f"{price:.6e}"]))
+        cells = {"Date": draw(pad) + day.isoformat() + draw(pad),
+                 "Close": draw(pad) + text + draw(pad)}
+        cells.update({f"x{i}": draw(st.sampled_from(["1", "a b", "", f"q{delimiter}q"]))
+                      for i in range(len(extras))})
+        rows.append([cells[c] for c in layout])
+
+    corrupt = draw(st.sampled_from([None, None, "Date", "Close", "order"]))
+    if corrupt == "order" and len(rows) >= 2:  # the date of an earlier row again
+        k = draw(st.integers(1, len(rows) - 1))
+        j = layout.index("Date")
+        rows[k][j] = rows[draw(st.integers(0, k - 1))][j]
+    elif corrupt in ("Date", "Close") and rows:
+        k = draw(st.integers(0, len(rows) - 1))
+        bad = {
+            "Date": ["not-a-date", "2020-02-30", "2021-13-01", "", "2020/01/02", "   "],
+            "Close": ["ten", "", "inf", "-inf", "nan", " NaN ", "0", "-1.5", "0.0", "1e400"],
+        }[corrupt]
+        rows[k][layout.index(corrupt)] = draw(st.sampled_from(bad))
+    if rows and draw(st.sampled_from([False, False, True])):  # a short or a long row
+        k = draw(st.integers(0, len(rows) - 1))
+        cut = draw(st.integers(1, len(layout) + 2))
+        rows[k] = (rows[k] + ["extra", "more"])[:cut]
+
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for i, row in enumerate([header, *rows]):
+        # blank lines, rarely before the header
+        if draw(st.sampled_from([False] * (8 if i == 0 else 2) + [True])):
+            lines += [""] * draw(st.integers(1, 2))
+        buf = io.StringIO()
+        csv.writer(buf, delimiter=delimiter, quoting=quoting, lineterminator="").writerow(row)
+        lines.append(buf.getvalue())
+    return terminator.join(lines) + terminator, delimiter
+
+
+def _outcome(load, path, delimiter):
+    try:
+        s = load(path, delimiter=delimiter)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("series", s.name, s.values.tobytes(), s.dates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(price_files())
+def test_reader_matches_the_dictreader_oracle(file):
+    text, delimiter = file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prices.csv")
+        Path(path).write_text(text, encoding="utf-8", newline="")
+        assert _outcome(load_prices, path, delimiter) == _outcome(dictreader_load_prices, path, delimiter)

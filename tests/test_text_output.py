@@ -29,7 +29,7 @@ def old_emit_decomposition(dec):
     lines = ["index,date,price,trend,d1,d2,fluctuation"]
     src = dec.source
     for a in range(len(dec)):
-        i = dec.source_index(a)
+        i = a + dec.warmup
         d1 = repr(float(dec.d1[a])) if dec.d1 is not None else ""
         d2 = repr(float(dec.d2[a])) if dec.d2 is not None else ""
         lines.append(
@@ -144,7 +144,7 @@ def test_dumped_prices_equal_the_cell_loop_and_load_back_exactly(n, flat, dated,
 
 @settings(max_examples=25, deadline=None)
 @given(degree=st.integers(0, 2), slow_extra=st.integers(0, 10), fast_extra=st.integers(0, 30),
-       M=st.integers(1, 12), horizons=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+       M=st.integers(1, 12), horizons=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
        level=st.sampled_from([0.5, 0.9, 0.95]), deadband=st.sampled_from([0.0, 0.1, 1.5]),
        extra=st.integers(0, 60), flat=st.floats(0.0, 0.5), seed=seeds)
 def test_forecast_rows_equal_the_cell_loop(degree, slow_extra, fast_extra, M, horizons, level,
