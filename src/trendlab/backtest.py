@@ -47,7 +47,7 @@ class BacktestConfig:
             raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be inside (0, 1), got {self.level!r}")
-        if self.deadband_rule < 0:
+        if not self.deadband_rule >= 0:
             raise ValueError(f"deadband_rule must be >= 0, got {self.deadband_rule!r}")
 
     def min_samples(self) -> int:

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
-from .decompose import (NOT_QUICKLY_FLUCTUATING, QUICKLY_FLUCTUATING, emit_decomposition,
-                        oscillation_score, sliding_trend)
+from .decompose import emit_decomposition, oscillation_score, oscillation_verdict, sliding_trend
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
@@ -167,7 +166,6 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         steps=args.steps, paths=args.paths, seed=args.seed,
     )
     stat = oscillation_probability(params, args.epsilon)
-    verdict = QUICKLY_FLUCTUATING if stat.p_hat <= args.oscillation_threshold else NOT_QUICKLY_FLUCTUATING
     kv = emit_kv([
         ("mu", params.mu),
         ("sigma", params.sigma),
@@ -180,7 +178,7 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         ("p_hat", stat.p_hat),
         ("stderr", stat.stderr),
         ("threshold", args.oscillation_threshold),
-        ("verdict", verdict),
+        ("verdict", oscillation_verdict(stat.p_hat, args.oscillation_threshold)),
         ("generator", NORMAL_SOURCE),
     ])
     return _emit_all(args.out_dir, {"gbm_stats.kv": kv})

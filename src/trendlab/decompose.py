@@ -113,8 +113,7 @@ def oscillation_score(
 
     score = max over contiguous windows of length >= min_window of
     |window mean| / scale, scale = mean |source values| when a source is
-    given, else 1. The verdict is quickly_fluctuating iff score <=
-    threshold.
+    given, else 1. The verdict is oscillation_verdict(score, threshold).
 
     The score is exact, yet only lengths min_window..2*min_window-1 are
     evaluated: a longer window splits into two parts of length >=
@@ -137,14 +136,20 @@ def oscillation_score(
         if peak > best:
             best = peak
     score = best / scale
-    verdict = QUICKLY_FLUCTUATING if score <= threshold else NOT_QUICKLY_FLUCTUATING
     return OscillationReport(
         score=score,
         scale=scale,
         min_window=min_window,
         threshold=threshold,
-        verdict=verdict,
+        verdict=oscillation_verdict(score, threshold),
     )
+
+
+def oscillation_verdict(value: float, threshold: float) -> str:
+    """quickly_fluctuating iff value <= threshold; rejects a threshold not >= 0."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    return QUICKLY_FLUCTUATING if value <= threshold else NOT_QUICKLY_FLUCTUATING
 
 
 def emit_decomposition(dec: Decomposition) -> str:

@@ -44,7 +44,7 @@ class ForecastPoint:
 
 def taylor_extrapolate(value, d1, d2, h: float):
     """value + h*d1 + (h^2/2)*d2; h >= 0 in the value's time units."""
-    if h < 0:
+    if not h >= 0:
         raise ValueError(f"horizon must be >= 0, got {h!r}")
     return value + h * d1 + 0.5 * h * h * d2
 
@@ -109,7 +109,7 @@ def confidence_band(trend_hat, std_hat, level: float = 0.95) -> tuple:
     quantile for the level; degenerates to a point at std_hat = 0."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be inside (0, 1), got {level!r}")
-    if np.any(std_hat < 0):
+    if not np.all(std_hat >= 0):
         raise ValueError(f"std_hat must be >= 0, got {float(np.min(std_hat))!r}")
     z = float(ndtri(0.5 * (1.0 + level)))
     return trend_hat - z * std_hat, trend_hat + z * std_hat
@@ -121,7 +121,7 @@ def classify_position(price_hat, trend_hat, deadband):
     above when price_hat - trend_hat > deadband, under when
     trend_hat - price_hat > deadband, no_decision inside the band.
     """
-    if np.any(deadband < 0):
+    if not np.all(deadband >= 0):
         raise ValueError(f"deadband must be >= 0, got {float(np.min(deadband))!r}")
     diff = price_hat - trend_hat
     position = np.where(diff > deadband, ABOVE, np.where(-diff > deadband, UNDER, NO_DECISION))
@@ -164,7 +164,7 @@ def forecast_point(
     """
     if slow.source is not fast.source:
         raise ValueError("slow and fast decompositions must share one source series")
-    if deadband_mult < 0:
+    if not deadband_mult >= 0:
         raise ValueError(f"deadband_mult must be >= 0, got {deadband_mult!r}")
     track_pos = t - slow.warmup - (len(slow) - len(std))
     std_hat = _filter_extrapolate(slow.bank, std, track_pos, h, floor=0.0)

@@ -2,16 +2,16 @@
 
 Paths follow the exact log-space update, so the marginal law at every
 grid time is exact and the test below measures the process, not the
-integrator. The oscillation test asks how often the path's residual
-about the deterministic mean trend integrates to something larger than a
-threshold: a residual that were quickly fluctuating would make such
-integrals rare.
+integrator. One routine draws each block of rows into the array that
+keeps it, and one integrates the residual about the mean trend s0 e^(mu t).
+The oscillation test asks how often that integral exceeds a threshold:
+a residual that were quickly fluctuating would make it rare.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Iterator, Optional
+from math import inf, sqrt
+from typing import Optional
 
 import numpy as np
 from scipy.special import ndtri
@@ -27,8 +27,8 @@ _CHUNK_VALUES = 4_000_000  # cap on normals materialized per block
 class GbmParams:
     """Simulation grid and process parameters.
 
-    mu is the drift per unit time, sigma the volatility per sqrt(time);
-    the grid has steps intervals of size t_end / steps on [0, t_end].
+    mu is the drift per unit time, sigma the volatility per sqrt(time),
+    all four floats finite; the grid has steps intervals on [0, t_end].
     """
 
     mu: float
@@ -40,12 +40,14 @@ class GbmParams:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.s0 > 0:
-            raise ValueError(f"s0 must be positive, got {self.s0!r}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma!r}")
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if not -inf < self.mu < inf:
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
+        if not 0 < self.s0 < inf:
+            raise ValueError(f"s0 must be positive and finite, got {self.s0!r}")
+        if not 0 <= self.sigma < inf:
+            raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma!r}")
+        if not 0 < self.t_end < inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not isinstance(self.paths, int) or self.paths < 1:
@@ -66,35 +68,32 @@ class ResidualStat:
     paths: int
 
 
-def _price_blocks(params: GbmParams) -> Iterator[tuple[int, np.ndarray]]:
-    """The ensemble in consecutive row blocks of at most _CHUNK_VALUES
-    normals: yields (first row, block), a fresh (rows, steps+1) array of
-    prices on the full grid, column 0 = s0, that the consumer may modify.
+def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray) -> None:
+    """Draw the ensemble's next len(out) rows of prices into out, column 0 = s0.
 
-    2^53 is a power of two: one uint64 per normal, no rejection, so the
-    stream position after r rows equals any other chunking of r rows.
+    The normals get a fresh contiguous buffer (ndtri is faster there than on
+    a strided view) that dies on return. 2^53 is a power of two: one uint64
+    per normal, no rejection, so every split of r rows ends at one position.
     """
     dt = params.t_end / params.steps
-    drift = (params.mu - 0.5 * params.sigma**2) * dt
-    vol = params.sigma * sqrt(dt)
-    rng = np.random.default_rng(params.seed)
-    rows_per_block = max(1, _CHUNK_VALUES // params.steps)
-    for lo in range(0, params.paths, rows_per_block):
-        rows = min(rows_per_block, params.paths - lo)
-        dlog = rng.integers(0, 1 << 53, size=(rows, params.steps)).astype(float)
-        dlog += 0.5
-        dlog *= 2.0**-53
-        ndtri(dlog, out=dlog)
-        dlog *= vol
-        dlog += drift
-        block = np.empty((rows, params.steps + 1))
-        block[:, 0] = 0.0  # log(S / s0) at t = 0
-        np.cumsum(dlog, axis=1, out=block[:, 1:])
-        # the suspended generator would keep it alive through the next draw
-        del dlog
-        np.exp(block, out=block)
-        block *= params.s0
-        yield lo, block
+    dlog = rng.integers(0, 1 << 53, size=(len(out), params.steps)).astype(float)
+    dlog += 0.5
+    dlog *= 2.0**-53
+    ndtri(dlog, out=dlog)
+    dlog *= params.sigma * sqrt(dt)
+    dlog += (params.mu - 0.5 * params.sigma**2) * dt
+    out[:, 0] = 0.0  # log(S / s0) at t = 0
+    np.cumsum(dlog, axis=1, out=out[:, 1:])
+    np.exp(out, out=out)
+    out *= params.s0
+
+
+def _residual_integrals(prices: np.ndarray, params: GbmParams) -> np.ndarray:
+    """Trapezoidal integral over [0, t_end] of each row of prices minus the
+    mean trend s0 * exp(mu t); the trend is subtracted from prices in place."""
+    t = params.grid()
+    prices -= params.s0 * np.exp(params.mu * t)
+    return np.trapezoid(prices, t)
 
 
 def simulate_paths(params: GbmParams) -> np.ndarray:
@@ -102,11 +101,13 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
 
     Exact log-space update per step:
         S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) xi).
-    Deterministic given params.seed.
+    Deterministic given params.seed, and the same for any _CHUNK_VALUES.
     """
     out = np.empty((params.paths, params.steps + 1))
-    for lo, block in _price_blocks(params):
-        out[lo : lo + len(block)] = block
+    rng = np.random.default_rng(params.seed)
+    rows = max(1, _CHUNK_VALUES // params.steps)
+    for lo in range(0, params.paths, rows):
+        _draw_rows(rng, params, out[lo : lo + rows])
     return out
 
 
@@ -117,36 +118,35 @@ def residual_integral(path: np.ndarray, params: GbmParams) -> float:
     Raises:
         ValueError: path not on the params grid.
     """
-    path = np.asarray(path, dtype=float)
+    path = np.array(path, dtype=float)
     if path.shape != (params.steps + 1,):
         raise ValueError(
             f"grid mismatch: path has shape {path.shape}, params grid needs "
             f"({params.steps + 1},)"
         )
-    t = params.grid()
-    residual = path - params.s0 * np.exp(params.mu * t)
-    return float(np.trapezoid(residual, t))
+    return float(_residual_integrals(path, params))
 
 
 def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
     """Fraction of paths whose residual integral exceeds epsilon in
     magnitude, with its binomial standard error.
 
-    Streams the ensemble in blocks; results are identical to running
-    simulate_paths and integrating every row, for the same seed.
+    Streams the ensemble through one reused block of rows; results equal
+    residual_integral over every row of simulate_paths, for the same seed.
 
     Raises:
         ValueError: epsilon <= 0.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    t = params.grid()
-    mean_trend = params.s0 * np.exp(params.mu * t)
+    rng = np.random.default_rng(params.seed)
+    rows = max(1, _CHUNK_VALUES // params.steps)
+    block = np.empty((min(rows, params.paths), params.steps + 1))
     exceed = 0
-    for _, block in _price_blocks(params):
-        block -= mean_trend
-        integrals = np.trapezoid(block, t, axis=1)
-        exceed += int(np.count_nonzero(np.abs(integrals) > epsilon))
+    for lo in range(0, params.paths, rows):
+        prices = block[: params.paths - lo]
+        _draw_rows(rng, params, prices)
+        exceed += int(np.count_nonzero(np.abs(_residual_integrals(prices, params)) > epsilon))
     p_hat = exceed / params.paths
     stderr = sqrt(p_hat * (1.0 - p_hat) / params.paths)
     return ResidualStat(epsilon=epsilon, p_hat=p_hat, stderr=stderr, paths=params.paths)

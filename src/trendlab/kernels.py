@@ -60,8 +60,8 @@ class EstimatorSpec:
                 f"underdetermined: window must exceed degree + 1, got window={self.window!r} "
                 f"for degree {self.degree}"
             )
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
         if not isinstance(self.smoothing, int) or self.smoothing < 1:
             raise ValueError(f"smoothing must be an integer >= 1, got {self.smoothing!r}")
 
@@ -207,7 +207,7 @@ def _verify_exactness(bank: KernelBank) -> None:
             got = bank.weights[v] @ tau**d
             want = float(factorial(v)) if d == v else 0.0
             scale = max(1.0, abs(want), float(np.abs(bank.weights[v] * tau**d).sum()))
-            if abs(got - want) > 1e-9 * scale:
+            if not abs(got - want) <= 1e-9 * scale:
                 raise ValueError(
                     f"exactness violated at order {v}, degree {d}: got {got}, want {want}"
                 )

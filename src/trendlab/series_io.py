@@ -193,5 +193,8 @@ def emit_kv(pairs: Iterable[tuple[str, object]]) -> str:
 
 
 def dump_prices(series: PriceSeries, date_col: str = "Date", price_col: str = "Close") -> str:
-    """Re-emit a series as delimiter-separated text, full double precision."""
-    return emit_table((date_col, price_col), (date_labels(series.dates, 0, len(series)), series.values))
+    """Re-emit a dated series as delimiter-separated text, full double
+    precision, that load_prices reads back exactly; rejects an undated one."""
+    if series.dates is None:
+        raise ValueError(f"series {series.name!r} has no dates to dump")
+    return emit_table((date_col, price_col), (series.dates, series.values))

@@ -113,6 +113,8 @@ class TestBacktestConfig:
             BacktestConfig(level=1.5)
         with pytest.raises(ValueError, match="deadband_rule must be >= 0"):
             BacktestConfig(deadband_rule=-1.0)
+        with pytest.raises(ValueError, match="deadband_rule must be >= 0, got nan"):
+            BacktestConfig(deadband_rule=float("nan"))
 
 
 class TestScorePositions:

@@ -141,6 +141,7 @@ class TestForecastAndBacktestShareTheConfigChecks:
             (["--horizons=-1"], "horizons must be integers >= 1, got (-1,)"),
             (["--horizons", "1,1"], "horizons must be distinct, got (1, 1)"),
             (["--deadband-mult", "-1"], "deadband_rule must be >= 0, got -1.0"),
+            (["--deadband-mult", "nan"], "deadband_rule must be >= 0, got nan"),
             (["--level", "1.5"], "level must be inside (0, 1), got 1.5"),
             (["--moment-window", "0"], "M must be an integer >= 1, got 0"),
         ],
@@ -200,6 +201,22 @@ class TestGbm:
         kv = read_kv(tmp_path / "gbm_stats.kv")
         assert float(kv["p_hat"]) == 0.0
         assert kv["verdict"] == "quickly_fluctuating"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--sigma", "nan"], "sigma must be >= 0 and finite, got nan"),
+            (["--mu", "nan"], "mu must be finite, got nan"),
+            (["--s0", "inf"], "s0 must be positive and finite, got inf"),
+            (["--t-end", "inf"], "t_end must be positive and finite, got inf"),
+            (["--oscillation-threshold", "nan"], "threshold must be >= 0, got nan"),
+        ],
+    )
+    def test_invalid_parameters_exit_2(self, flags, message, tmp_path, capsys):
+        rc = main(["gbm", "--steps", "10", "--paths", "10", *flags, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorHandling:

@@ -176,6 +176,9 @@ class TestOscillationScore:
             oscillation_score(np.zeros(0))
         with pytest.raises(ValueError, match="min_window must be in 1..5"):
             oscillation_score(np.zeros(5), min_window=6)
+        for threshold in (float("nan"), -1.0):
+            with pytest.raises(ValueError, match=f"threshold must be >= 0, got {threshold!r}"):
+                oscillation_score(np.zeros(5), min_window=2, threshold=threshold)
 
 
 class TestEmitDecomposition:

@@ -45,6 +45,8 @@ class TestTaylorExtrapolate:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon must be >= 0"):
             taylor_extrapolate(1.0, 0.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="horizon must be >= 0, got nan"):
+            taylor_extrapolate(1.0, 0.0, 0.0, float("nan"))
 
 
 class TestForecastTrend:
@@ -160,6 +162,8 @@ class TestConfidenceBand:
             confidence_band(1.0, -0.5)
         with pytest.raises(ValueError, match=r"std_hat must be >= 0, got -0\.5$"):
             confidence_band(np.ones(3), np.array([1.0, -0.5, 0.0]))
+        with pytest.raises(ValueError, match="std_hat must be >= 0, got nan"):
+            confidence_band(np.ones(2), np.array([1.0, np.nan]))
 
 
 class TestClassifyPosition:
@@ -181,6 +185,8 @@ class TestClassifyPosition:
     def test_negative_deadband_rejected(self):
         with pytest.raises(ValueError, match="deadband must be >= 0"):
             classify_position(1.0, 1.0, -0.1)
+        with pytest.raises(ValueError, match="deadband must be >= 0, got nan"):
+            classify_position(np.ones(2), 1.0, np.array([0.1, np.nan]))
 
 
 class TestForecastPoint:
@@ -232,3 +238,5 @@ class TestForecastPoint:
     def test_negative_deadband_mult_rejected(self):
         with pytest.raises(ValueError, match="deadband_mult must be >= 0"):
             forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=-0.1)
+        with pytest.raises(ValueError, match="deadband_mult must be >= 0, got nan"):
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("nan"))

@@ -1,8 +1,11 @@
 """Geometric Brownian motion simulator and the residual-integral test."""
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trendlab.gbm as gbm
 from trendlab.gbm import (
@@ -20,12 +23,18 @@ class TestGbmParams:
         np.testing.assert_allclose(params.grid(), [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="s0 must be positive"):
-            GbmParams(mu=0.0, sigma=0.1, s0=0.0)
-        with pytest.raises(ValueError, match="sigma must be >= 0"):
-            GbmParams(mu=0.0, sigma=-0.1)
-        with pytest.raises(ValueError, match="t_end must be positive"):
-            GbmParams(mu=0.0, sigma=0.1, t_end=0.0)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"mu must be finite, got {mu!r}"):
+                GbmParams(mu=mu, sigma=0.1)
+        for s0 in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="s0 must be positive and finite"):
+                GbmParams(mu=0.0, sigma=0.1, s0=s0)
+        for sigma in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma must be >= 0 and finite"):
+                GbmParams(mu=0.0, sigma=sigma)
+        for t_end in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                GbmParams(mu=0.0, sigma=0.1, t_end=t_end)
         with pytest.raises(ValueError, match="steps must be an integer >= 1"):
             GbmParams(mu=0.0, sigma=0.1, steps=0)
         with pytest.raises(ValueError, match="paths must be an integer >= 1"):
@@ -50,13 +59,22 @@ class TestSimulatePaths:
         params = GbmParams(mu=0.05, sigma=0.2, steps=64, paths=11, seed=42)
         np.testing.assert_array_equal(simulate_paths(params), simulate_paths(params))
 
-    def test_chunking_does_not_change_the_stream(self, monkeypatch):
-        params = GbmParams(mu=0.05, sigma=0.2, steps=33, paths=9, seed=13)
-        full = simulate_paths(params)
-        stat = oscillation_probability(params, 0.05)
-        monkeypatch.setattr(gbm, "_CHUNK_VALUES", 64)
-        np.testing.assert_array_equal(simulate_paths(params), full)
-        assert oscillation_probability(params, 0.05) == stat
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(1, 40), paths=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           epsilon=st.sampled_from([0.001, 0.01, 0.05]), data=st.data())
+    def test_chunking_does_not_change_the_stream(self, steps, paths, seed, sigma, epsilon, data):
+        params = GbmParams(mu=0.05, sigma=sigma, steps=steps, paths=paths, seed=seed)
+        # hypothesis rejects function-scoped fixtures such as monkeypatch
+        with patch.object(gbm, "_CHUNK_VALUES", paths * steps):
+            full = simulate_paths(params)
+            stat = oscillation_probability(params, epsilon)
+        chunk = data.draw(st.integers(1, paths * steps + steps), label="_CHUNK_VALUES")
+        with patch.object(gbm, "_CHUNK_VALUES", chunk):
+            np.testing.assert_array_equal(simulate_paths(params), full)
+            assert oscillation_probability(params, epsilon) == stat
+        integrals = np.array([residual_integral(row, params) for row in full])
+        assert stat.p_hat == np.count_nonzero(np.abs(integrals) > epsilon) / paths
 
     def test_terminal_mean_matches_theory(self):
         params = GbmParams(mu=0.05, sigma=0.2, steps=400, paths=4000, seed=9)

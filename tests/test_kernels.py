@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from trendlab.kernels import (
     EstimatorSpec,
+    KernelBank,
     _density_polynomials,
+    _verify_exactness,
     build_kernel_bank,
     emit_weights,
     kernel_noise_gain,
@@ -37,8 +39,9 @@ class TestEstimatorSpec:
         EstimatorSpec(degree=2, window=4)  # smallest admissible
 
     def test_spacing_must_be_positive(self):
-        with pytest.raises(ValueError, match="spacing must be positive"):
-            EstimatorSpec(spacing=0.0)
+        for spacing in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="spacing must be positive and finite"):
+                EstimatorSpec(spacing=spacing)
 
     def test_smoothing_must_be_positive_integer(self):
         with pytest.raises(ValueError, match="smoothing must be an integer >= 1"):
@@ -130,6 +133,12 @@ class TestExactness:
                         f"N={degree} W={window} kappa={smoothing} dt={spacing} "
                         f"d={d} order={order}: {got} != {want}"
                     )
+
+    def test_nan_weights_fail_the_exactness_check(self):
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=3))
+        broken = KernelBank(spec=bank.spec, weights=(bank.weights[0], np.full(3, np.nan)))
+        with pytest.raises(ValueError, match="exactness violated at order 1, degree 0: got nan"):
+            _verify_exactness(broken)
 
     def test_estimate_is_linear(self):
         bank = build_kernel_bank(EstimatorSpec())
