@@ -10,11 +10,10 @@ a residual that were quickly fluctuating would make it rare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import exp, inf, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 # Normal variates are inverse-transform draws ndtri((k + 1/2) * 2^-53)
 # from PCG64 integer output; recorded in emitted metadata.
@@ -29,6 +28,8 @@ class GbmParams:
 
     mu is the drift per unit time, sigma the volatility per sqrt(time),
     all four floats finite; the grid has steps intervals on [0, t_end].
+    The per-step log drift and scale and the mean trend s0 e^(mu t) must
+    be finite too, or the paths and residuals would overflow.
     """
 
     mu: float
@@ -52,6 +53,30 @@ class GbmParams:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not isinstance(self.paths, int) or self.paths < 1:
             raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
+        try:
+            trend_end = self.s0 * exp(self.mu * self.t_end)
+        except OverflowError:
+            trend_end = inf
+        if not trend_end < inf:
+            raise ValueError(
+                f"mean trend s0 * exp(mu * t_end) must be finite, got "
+                f"mu={self.mu!r}, s0={self.s0!r}, t_end={self.t_end!r}"
+            )
+        try:
+            drift, scale = self._log_step()
+        except OverflowError:  # float ** raises where float * returns inf
+            drift = scale = inf
+        if not (-inf < drift < inf and scale < inf):
+            raise ValueError(
+                f"per-step log drift (mu - sigma**2 / 2) * dt and scale sigma * sqrt(dt) "
+                f"must be finite, got mu={self.mu!r}, sigma={self.sigma!r}, "
+                f"dt={self.t_end / self.steps!r}"
+            )
+
+    def _log_step(self) -> tuple:
+        """(drift, scale) of one exact log step: (mu - sigma^2/2) dt, sigma sqrt(dt)."""
+        dt = self.t_end / self.steps
+        return (self.mu - 0.5 * self.sigma**2) * dt, self.sigma * sqrt(dt)
 
     def grid(self) -> np.ndarray:
         """Sample times 0 .. t_end, steps+1 points."""
@@ -75,13 +100,17 @@ def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray) -> 
     a strided view) that dies on return. 2^53 is a power of two: one uint64
     per normal, no rejection, so every split of r rows ends at one position.
     """
-    dt = params.t_end / params.steps
+    # imported here, not at module top: the series subcommands draw no
+    # normals, and importing scipy.special would dominate their start-up
+    from scipy.special import ndtri
+
+    drift, scale = params._log_step()
     dlog = rng.integers(0, 1 << 53, size=(len(out), params.steps)).astype(float)
     dlog += 0.5
     dlog *= 2.0**-53
     ndtri(dlog, out=dlog)
-    dlog *= params.sigma * sqrt(dt)
-    dlog += (params.mu - 0.5 * params.sigma**2) * dt
+    dlog *= scale
+    dlog += drift
     out[:, 0] = 0.0  # log(S / s0) at t = 0
     np.cumsum(dlog, axis=1, out=out[:, 1:])
     np.exp(out, out=out)

@@ -1,7 +1,14 @@
 """Command-line entry points: outputs, exit codes, and atomicity."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import trendlab
 from conftest import write_price_csv
 from trendlab.cli import main
 
@@ -210,6 +217,10 @@ class TestGbm:
             (["--s0", "inf"], "s0 must be positive and finite, got inf"),
             (["--t-end", "inf"], "t_end must be positive and finite, got inf"),
             (["--oscillation-threshold", "nan"], "threshold must be >= 0, got nan"),
+            (["--sigma", "1e200"], "per-step log drift (mu - sigma**2 / 2) * dt and scale "
+             "sigma * sqrt(dt) must be finite, got mu=0.05, sigma=1e+200, dt=0.1"),
+            (["--mu", "1e300"], "mean trend s0 * exp(mu * t_end) must be finite, got "
+             "mu=1e+300, s0=1.0, t_end=1.0"),
         ],
     )
     def test_invalid_parameters_exit_2(self, flags, message, tmp_path, capsys):
@@ -217,6 +228,30 @@ class TestGbm:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestImportPath:
+    def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
+        # importing scipy.special takes longer than processing a small
+        # series; only the GBM draw may load it
+        script = textwrap.dedent("""
+            import sys
+            import trendlab, trendlab.cli
+            src, out = sys.argv[1:]
+            for cmd in ("decompose", "moments", "forecast", "backtest"):
+                assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
+            assert "scipy" not in sys.modules
+            argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
+            assert trendlab.cli.main(argv) == 0
+        """)
+        package_root = str(Path(trendlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(noisy_csv), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert (tmp_path / "gbm_stats.kv").exists()
 
 
 class TestErrorHandling:

@@ -4,12 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from trendlab.decompose import sliding_trend
 from trendlab.forecast import (
     ABOVE,
     NO_DECISION,
     UNDER,
+    _ndtri,
     classify_position,
     confidence_band,
     forecast_moments,
@@ -164,6 +166,48 @@ class TestConfidenceBand:
             confidence_band(np.ones(3), np.array([1.0, -0.5, 0.0]))
         with pytest.raises(ValueError, match="std_hat must be >= 0, got nan"):
             confidence_band(np.ones(2), np.array([1.0, np.nan]))
+
+
+class TestNdtri:
+    """_ndtri ports Cephes ndtri, so it must return scipy's doubles exactly."""
+
+    @staticmethod
+    def assert_bit_equal(points):
+        points = np.asarray(points, dtype=float)
+        got = np.array([_ndtri(float(p)) for p in points])
+        np.testing.assert_array_equal(got, ndtri(points))
+
+    def test_two_sided_levels(self):
+        levels = np.concatenate([np.arange(1, 20_000) / 20_000, [0.95, 0.975, 0.995]])
+        self.assert_bit_equal(0.5 * (1.0 + levels))
+
+    def test_uniform_points(self):
+        self.assert_bit_equal(np.random.default_rng(0).uniform(0.0, 1.0, 50_000))
+
+    def test_tails(self):
+        rng = np.random.default_rng(1)
+        lower = 10.0 ** rng.uniform(-300.0, 0.0, 20_000)
+        self.assert_bit_equal(lower)
+        self.assert_bit_equal(1.0 - lower[lower > 1e-16])
+        self.assert_bit_equal(1.0 - rng.uniform(0.0, 1e-16, 5_000))
+        # every branch point: y = exp(-2), 1 - exp(-2), and x = 8 (about
+        # y = exp(-32); sqrt(-2 log y) is exactly 8.0 at the last edge)
+        edges = np.array([0.1353352832366127, 1.0 - 0.1353352832366127, math.exp(-32.0),
+                          1.266416554909405e-14])
+        self.assert_bit_equal(edges)
+        self.assert_bit_equal(np.nextafter(edges, 0.0))
+        self.assert_bit_equal(np.nextafter(edges, 1.0))
+
+    def test_endpoints(self):
+        assert _ndtri(0.0) == -math.inf
+        assert _ndtri(1.0) == math.inf
+        self.assert_bit_equal([0.0, 1.0, 5e-324, 0.5])
+
+    def test_level_rounding_to_one(self):
+        level = 1.0 - 2.0**-53  # the largest float below 1
+        assert 0.5 * (1.0 + level) == 1.0
+        assert _ndtri(0.5 * (1.0 + level)) == ndtri(0.5 * (1.0 + level)) == math.inf
+        assert confidence_band(0.0, 1.0, level) == (-math.inf, math.inf)
 
 
 class TestClassifyPosition:

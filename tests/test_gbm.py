@@ -39,6 +39,23 @@ class TestGbmParams:
             GbmParams(mu=0.0, sigma=0.1, steps=0)
         with pytest.raises(ValueError, match="paths must be an integer >= 1"):
             GbmParams(mu=0.0, sigma=0.1, paths=0)
+        # finite inputs whose step terms or mean trend overflow a double
+        step = r"per-step log drift .* must be finite, got mu=0\.05, sigma=1e\+200, dt=0\.1$"
+        with pytest.raises(ValueError, match=step):
+            GbmParams(mu=0.05, sigma=1e200, steps=10)  # sigma**2 overflows
+        with pytest.raises(ValueError, match=r"per-step log drift .* got mu=-1e\+308"):
+            GbmParams(mu=-1e308, sigma=0.0, t_end=1e10, steps=1)  # mu * dt overflows
+        trend = (r"mean trend s0 \* exp\(mu \* t_end\) must be finite, "
+                 r"got mu={}, s0={}, t_end=1\.0$")
+        with pytest.raises(ValueError, match=trend.format(r"1e\+300", r"1\.0")):
+            GbmParams(mu=1e300, sigma=0.2, steps=10)
+        with pytest.raises(ValueError, match=trend.format("710.0", r"1\.0")):
+            GbmParams(mu=710.0, sigma=0.2)
+        with pytest.raises(ValueError, match=trend.format(r"1\.0", r"1e\+308")):
+            GbmParams(mu=1.0, sigma=0.2, s0=1e308)
+        # a mean trend near the float maximum passes, and a vanishing one is finite
+        GbmParams(mu=709.0, sigma=0.2, steps=10)
+        GbmParams(mu=-1e300, sigma=0.2, steps=10)
 
 
 class TestSimulatePaths:
