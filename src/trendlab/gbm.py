@@ -9,6 +9,7 @@ a residual that were quickly fluctuating would make it rare.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import exp, inf, sqrt
 from typing import Optional
@@ -93,6 +94,21 @@ class ResidualStat:
     paths: int
 
 
+@contextmanager
+def _no_overflow(params: GbmParams):
+    """Raise ValueError, not a warning and inf prices, when float64 overflows
+    in the block arithmetic (a path far above the mean trend, from a large
+    s0 or sigma)."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"prices overflow a double, got s0={params.s0!r}, mu={params.mu!r}, "
+            f"sigma={params.sigma!r}"
+        ) from exc
+
+
 def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray) -> None:
     """Draw the ensemble's next len(out) rows of prices into out, column 0 = s0.
 
@@ -109,20 +125,22 @@ def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray) -> 
     dlog += 0.5
     dlog *= 2.0**-53
     ndtri(dlog, out=dlog)
-    dlog *= scale
-    dlog += drift
-    out[:, 0] = 0.0  # log(S / s0) at t = 0
-    np.cumsum(dlog, axis=1, out=out[:, 1:])
-    np.exp(out, out=out)
-    out *= params.s0
+    with _no_overflow(params):
+        dlog *= scale
+        dlog += drift
+        out[:, 0] = 0.0  # log(S / s0) at t = 0
+        np.cumsum(dlog, axis=1, out=out[:, 1:])
+        np.exp(out, out=out)
+        out *= params.s0
 
 
 def _residual_integrals(prices: np.ndarray, params: GbmParams) -> np.ndarray:
     """Trapezoidal integral over [0, t_end] of each row of prices minus the
     mean trend s0 * exp(mu t); the trend is subtracted from prices in place."""
     t = params.grid()
-    prices -= params.s0 * np.exp(params.mu * t)
-    return np.trapezoid(prices, t)
+    with _no_overflow(params):
+        prices -= params.s0 * np.exp(params.mu * t)
+        return np.trapezoid(prices, t)
 
 
 def simulate_paths(params: GbmParams) -> np.ndarray:

@@ -8,6 +8,8 @@ variance carry no skew/kurt value and are flagged undefined.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +17,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .series_io import date_labels, emit_table
 
-_CHUNK_ROWS = 8192
+_CHUNK_ROWS = 8192  # window rows in flight across all threads
+_SPAN_ROWS = 512  # fewest window rows worth a thread of their own
 
 
 @dataclass(frozen=True)
@@ -33,11 +36,25 @@ class MomentTrack:
         return len(self.std)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
     """Trailing-window central moments, mean-first arithmetic.
 
     Chunked windowed evaluation; each window reduces over a contiguous
-    axis, matching per-window recomputation bit for bit.
+    axis, matching per-window recomputation bit for bit. The window rows
+    are split into one contiguous span per CPU the process may use (at
+    least _SPAN_ROWS rows each); each span runs on its own thread, the
+    first on the caller's, and numpy releases the interpreter lock in the
+    power and sum loops. Rows are independent, so the bits are the same
+    for any split, and the rows in flight stay _CHUNK_ROWS in all.
 
     Raises:
         ValueError: m < 1 or sequence shorter than m+1.
@@ -47,16 +64,42 @@ def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict
         raise ValueError(f"M must be an integer >= 1, got {m!r}")
     if fluct.ndim != 1 or len(fluct) < m + 1:
         raise ValueError(f"need at least M+1 = {m + 1} samples, got {len(fluct)}")
-    n = len(fluct)
-    out = {k: np.empty(n - m) for k in ks}
+    rows = len(fluct) - m
+    out = {k: np.empty(rows) for k in ks}
     windows = sliding_window_view(fluct, m + 1)
-    for lo in range(0, n - m, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n - m)
-        block = windows[lo:hi]
-        mean = block.mean(axis=1)
-        centered = block - mean[:, None]
-        for k in ks:
-            out[k][lo:hi] = (centered**k).sum(axis=1) / (m + 1)
+    workers = max(1, min(_cpu_count(), rows // _SPAN_ROWS))
+    chunk = max(1, _CHUNK_ROWS // workers)
+
+    def fill(start: int, stop: int) -> None:
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            block = windows[lo:hi]
+            mean = block.mean(axis=1)
+            centered = block - mean[:, None]
+            for k in ks:
+                out[k][lo:hi] = (centered**k).sum(axis=1) / (m + 1)
+
+    errors: list[BaseException] = []
+
+    def run(start: int, stop: int) -> None:
+        try:
+            fill(start, stop)
+        except BaseException as exc:  # re-raised on the caller's thread below
+            errors.append(exc)
+
+    bounds = [rows * w // workers for w in range(workers + 1)]
+    threads: list[threading.Thread] = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(bounds[w], bounds[w + 1]))
+            thread.start()
+            threads.append(thread)
+        fill(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -2,7 +2,8 @@
 
 Input files are delimiter-separated text with a header row; the date and
 price columns are selected by name and must each appear once. Dates are
-YYYY-MM-DD (ASCII digits, a real calendar day) on every supported Python.
+YYYY-MM-DD (ASCII digits, a real calendar day) on every supported Python,
+and prices are ASCII decimal literals.
 Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
 are not interpolated, each row is one step of the uniform trading-day
 grid, whose interval is kernels.EstimatorSpec.spacing.
@@ -78,6 +79,27 @@ def _iso_day(cell: Optional[str]) -> Optional[str]:
     return None
 
 
+def _check_price_literals(path: str, cells: list[str]) -> None:
+    """Reject the first price cell that is not, once stripped, an ASCII
+    decimal literal (or an inf/nan spelling, left to the finiteness check).
+
+    Every cell was read by float(), which beyond those literals reads only
+    underscores between digits and non-ASCII digits; so a stripped cell is
+    plain exactly when it is ASCII without '_'. The joined column is
+    checked in one pass, and cell by cell only to find the row that fails.
+
+    Raises:
+        ValueError: "row N: unparsable price" for the first such cell.
+    """
+    column = "".join(cells)
+    if column.isascii() and "_" not in column:
+        return
+    for row_no, cell in enumerate(cells, start=2):
+        text = cell.strip()
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"{path} row {row_no}: unparsable price {cell!r}")
+
+
 def load_prices(
     path: str,
     date_col: str = "Date",
@@ -87,9 +109,11 @@ def load_prices(
 ) -> PriceSeries:
     """Read a delimiter-separated price file.
 
-    Header names and date cells are stripped of whitespace, and dates are
-    kept as read. Blank lines are skipped and not counted: the header is
-    row 1 and data rows are numbered from 2.
+    Header names and date and price cells are stripped of whitespace, and
+    dates are kept as read. A price is an ASCII decimal literal: float()
+    reads it, and it has no underscore and no non-ASCII digit. Blank lines
+    are skipped and not counted: the header is row 1 and data rows are
+    numbered from 2.
 
     Args:
         path: file location.
@@ -109,6 +133,7 @@ def load_prices(
     """
     values: list[float] = []
     dates: list[str] = []
+    cells: list[str] = []  # price cells float() read, in row order from row 2
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
         header = next(reader, None)
@@ -124,26 +149,32 @@ def load_prices(
                 raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
         di, pi = fields.index(date_col), fields.index(price_col)
         width = max(di, pi) + 1
-        for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
-            row += [None] * (width - len(row))  # a short row reads as missing cells
-            day = _iso_day(row[di])
-            if day is None:
-                raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
-            try:
-                price = float(row[pi])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path} row {row_no}: unparsable price {row[pi]!r}") from exc
-            if not math.isfinite(price):
-                raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
-            if not price > 0:
-                raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
-            # fixed-width YYYY-MM-DD strings order as their dates do
-            if dates and day <= dates[-1]:
-                raise ValueError(
-                    f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
-                )
-            dates.append(day)
-            values.append(price)
+        try:
+            for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
+                row += [None] * (width - len(row))  # a short row reads as missing cells
+                day = _iso_day(row[di])
+                if day is None:
+                    raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
+                try:
+                    price = float(row[pi])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path} row {row_no}: unparsable price {row[pi]!r}") from exc
+                cells.append(row[pi])
+                if not math.isfinite(price):
+                    raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
+                if not price > 0:
+                    raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
+                # fixed-width YYYY-MM-DD strings order as their dates do
+                if dates and day <= dates[-1]:
+                    raise ValueError(
+                        f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
+                    )
+                dates.append(day)
+                values.append(price)
+        except ValueError:
+            _check_price_literals(path, cells)  # a price cell read before the fault wins
+            raise
+        _check_price_literals(path, cells)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
     label = name if name is not None else os.path.splitext(os.path.basename(path))[0]

@@ -221,6 +221,8 @@ class TestGbm:
              "sigma * sqrt(dt) must be finite, got mu=0.05, sigma=1e+200, dt=0.1"),
             (["--mu", "1e300"], "mean trend s0 * exp(mu * t_end) must be finite, got "
              "mu=1e+300, s0=1.0, t_end=1.0"),
+            (["--s0", "1e308", "--mu", "0", "--sigma", "0.5"],
+             "prices overflow a double, got s0=1e+308, mu=0.0, sigma=0.5"),
         ],
     )
     def test_invalid_parameters_exit_2(self, flags, message, tmp_path, capsys):
@@ -233,7 +235,8 @@ class TestGbm:
 class TestImportPath:
     def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
         # importing scipy.special takes longer than processing a small
-        # series; only the GBM draw may load it
+        # series; only the GBM draw may load it. The moment threads are
+        # plain threading.Thread: concurrent.futures would cost start-up too
         script = textwrap.dedent("""
             import sys
             import trendlab, trendlab.cli
@@ -241,6 +244,7 @@ class TestImportPath:
             for cmd in ("decompose", "moments", "forecast", "backtest"):
                 assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
             assert "scipy" not in sys.modules
+            assert "concurrent.futures" not in sys.modules
             argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
             assert trendlab.cli.main(argv) == 0
         """)

@@ -125,6 +125,20 @@ class TestResidualIntegral:
             residual_integral(np.ones(55), params)
 
 
+class TestOverflow:
+    def test_overflow_raises_naming_the_parameters(self):
+        message = r"prices overflow a double, got s0={}, mu=0\.0, sigma=0\.5$"
+        params = GbmParams(mu=0.0, sigma=0.5, s0=1e308, steps=10, paths=10, seed=0)
+        with pytest.raises(ValueError, match=message.format(r"1e\+308")):
+            simulate_paths(params)
+        with pytest.raises(ValueError, match=message.format(r"1e\+308")):
+            oscillation_probability(params, 0.05)
+        # adjacent samples near the double maximum overflow the trapezoid sum
+        params = GbmParams(mu=0.0, sigma=0.5, steps=10)
+        with pytest.raises(ValueError, match=message.format(r"1\.0")):
+            residual_integral(np.full(11, 1.7e308), params)
+
+
 class TestOscillationProbability:
     def test_zero_volatility_never_exceeds(self):
         params = GbmParams(mu=0.05, sigma=0.0, steps=200, paths=500, seed=1)

@@ -1,8 +1,11 @@
 """Rolling central moments against brute-force recomputation."""
+import threading
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trendlab.moments as moments
 from trendlab.moments import emit_moments, moment_tracks, rolling_central_moment
@@ -47,6 +50,54 @@ class TestRollingCentralMoment:
             rolling_central_moment(fluct, 2, 0)
         with pytest.raises(ValueError, match="need at least M\\+1 = 21 samples"):
             rolling_central_moment(fluct, 2, 20)
+
+
+class TestThreadSplit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_minus_m=st.integers(1, 60),
+        m=st.integers(1, 12),
+        cpus=st.integers(1, 8),
+        chunk_rows=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_worker_count_equals_brute_force(self, n_minus_m, m, cpus, chunk_rows, seed):
+        # one-row spans, so small inputs split too and n - M can fall
+        # below the CPU count
+        rng = np.random.default_rng(seed)
+        fluct = rng.normal(0.0, 1.0, n_minus_m + m)
+        fluct[: len(fluct) // 3] = 0.0  # negative, positive and zero lanes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "_cpu_count", lambda: cpus)
+            mp.setattr(moments, "_SPAN_ROWS", 1)
+            mp.setattr(moments, "_CHUNK_ROWS", chunk_rows)
+            for k in (2, 3, 4):
+                np.testing.assert_array_equal(
+                    rolling_central_moment(fluct, k, m), brute_force_moment(fluct, k, m)
+                )
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_span_reaches_the_caller(self, monkeypatch, failing):
+        class FailingWindows:
+            """Window rows that raise when read on the failing thread."""
+
+            def __init__(self, windows):
+                self.windows = windows
+
+            def __getitem__(self, key):
+                on_caller = threading.current_thread() is threading.main_thread()
+                if on_caller == (failing == "caller"):
+                    raise RuntimeError(f"{failing} span failed")
+                return self.windows[key]
+
+        real_view = moments.sliding_window_view
+        monkeypatch.setattr(moments, "sliding_window_view", lambda x, w: FailingWindows(real_view(x, w)))
+        monkeypatch.setattr(moments, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(moments, "_SPAN_ROWS", 1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
+            moment_tracks(np.random.default_rng(326).normal(size=200), M=10)
+        assert threading.active_count() == before
 
 
 class TestMomentTracks:

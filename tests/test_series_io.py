@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 import tempfile
 from datetime import date, timedelta
 from pathlib import Path
@@ -163,6 +164,33 @@ class TestLoadPrices:
         path = tmp_path / "bad.csv"
         path.write_text("Date,Close\n2021-01-01,ten\n2021-01-02,11\n")
         with pytest.raises(ValueError, match=r"row 2: unparsable price"):
+            load_prices(str(path))
+
+    @pytest.mark.parametrize("bad", ["1_000", " 1_0.5 ", "\u0661\u0662", "1\u0662", "\uff11\uff12"])
+    def test_prices_outside_the_grammar_rejected(self, tmp_path, bad):
+        # float() reads each of these: underscores, Arabic-Indic and
+        # fullwidth digits
+        float(bad)
+        path = tmp_path / "bad.csv"
+        path.write_text(f"Date,Close\n2020-01-01,10\n2020-01-02,{bad}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"row 3: unparsable price {re.escape(repr(bad))}$"):
+            load_prices(str(path))
+
+    def test_padded_prices_accepted(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text("Date,Close\n2020-01-01, 10 \n2020-01-02,\u00a011.5\u2003\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_prices(str(path)).values, [10.0, 11.5])
+
+    def test_first_faulty_row_is_reported(self, tmp_path):
+        # the column is checked once per file, yet an earlier row's
+        # literal still wins over a later row's fault, and a row's
+        # literal over its sign
+        path = tmp_path / "bad.csv"
+        path.write_text("Date,Close\n2020-01-01,10\n2020-01-02,1_1\n2020-01-03,-1\n")
+        with pytest.raises(ValueError, match="row 3: unparsable price '1_1'$"):
+            load_prices(str(path))
+        path.write_text("Date,Close\n2020-01-01,10\n2020-01-02,-1_1\n")
+        with pytest.raises(ValueError, match="row 3: unparsable price '-1_1'$"):
             load_prices(str(path))
 
     def test_non_positive_price_rejected(self, tmp_path):
