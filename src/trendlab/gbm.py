@@ -6,21 +6,29 @@ integrator. One routine draws each block of rows into the array that
 keeps it, and one integrates the residual about the mean trend s0 e^(mu t).
 The oscillation test asks how often that integral exceeds a threshold:
 a residual that were quickly fluctuating would make it rare.
+
+Rows are split into contiguous spans, one thread per CPU (_spans.run_spans).
+Each span draws from its own copy of the one PCG64 stream, advanced to the
+span's first row, so every row gets the same normals for any thread count.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from math import exp, inf, sqrt
 from typing import Optional
 
 import numpy as np
 
+from ._spans import run_spans, split_rows
+
 # Normal variates are inverse-transform draws ndtri((k + 1/2) * 2^-53)
 # from PCG64 integer output; recorded in emitted metadata.
 NORMAL_SOURCE = "pcg64-inverse-transform-ndtri"
 
-_CHUNK_VALUES = 4_000_000  # cap on normals materialized per block
+_CHUNK_VALUES = 4_000_000  # cap on normals materialized per block, across all threads
+_SPAN_VALUES = 1 << 17  # fewest normals (rows x steps) worth a thread of their own
 
 
 @dataclass(frozen=True)
@@ -109,38 +117,71 @@ def _no_overflow(params: GbmParams):
         ) from exc
 
 
-def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray) -> None:
+def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray,
+               normals: np.ndarray) -> None:
     """Draw the ensemble's next len(out) rows of prices into out, column 0 = s0.
 
-    The normals get a fresh contiguous buffer (ndtri is faster there than on
-    a strided view) that dies on return. 2^53 is a power of two: one uint64
-    per normal, no rejection, so every split of r rows ends at one position.
+    normals is C-contiguous scratch of shape (len(out), steps): ndtri is
+    faster there than on a strided view. random() gives k * 2^-53 for k the
+    top 53 bits of one uint64, as integers(0, 2^53) does (a power-of-two
+    range, so no rejection); adding 2^-54 rounds (k + 1/2) * 2^-53 as
+    float(k) + 0.5 then scaling would. One uint64 per normal, so every
+    split of r rows ends at one stream position.
     """
     # imported here, not at module top: the series subcommands draw no
     # normals, and importing scipy.special would dominate their start-up
     from scipy.special import ndtri
 
     drift, scale = params._log_step()
-    dlog = rng.integers(0, 1 << 53, size=(len(out), params.steps)).astype(float)
-    dlog += 0.5
-    dlog *= 2.0**-53
-    ndtri(dlog, out=dlog)
+    rng.random(out=normals)
+    normals += 2.0**-54
+    ndtri(normals, out=normals)
     with _no_overflow(params):
-        dlog *= scale
-        dlog += drift
+        normals *= scale
+        normals += drift
         out[:, 0] = 0.0  # log(S / s0) at t = 0
-        np.cumsum(dlog, axis=1, out=out[:, 1:])
+        np.cumsum(normals, axis=1, out=out[:, 1:])
         np.exp(out, out=out)
         out *= params.s0
 
 
-def _residual_integrals(prices: np.ndarray, params: GbmParams) -> np.ndarray:
+def _residual_integrals(prices: np.ndarray, params: GbmParams, terms: np.ndarray) -> np.ndarray:
     """Trapezoidal integral over [0, t_end] of each row of prices minus the
-    mean trend s0 * exp(mu t); the trend is subtracted from prices in place."""
+    mean trend s0 * exp(mu t); the trend is subtracted from prices in place.
+
+    np.trapezoid's arithmetic, ((y[1:] + y[:-1]) * dt / 2).sum(), with the
+    terms written into terms (prices' shape less one column), not into
+    temporaries.
+    """
     t = params.grid()
     with _no_overflow(params):
         prices -= params.s0 * np.exp(params.mu * t)
-        return np.trapezoid(prices, t)
+        np.add(prices[..., 1:], prices[..., :-1], out=terms)
+        terms *= np.diff(t)
+        terms /= 2.0
+        return terms.sum(axis=-1)
+
+
+def _split(params: GbmParams) -> list[tuple[np.random.Generator, range, int]]:
+    """The ensemble's rows as run_spans takes them: (rng, span, rows) per
+    span of split_rows, each span at least _SPAN_VALUES normals.
+
+    rng is the one PCG64 stream of params.seed advanced to the span's first
+    row: row r begins at stream position r * steps (one uint64 per normal),
+    reached in O(log) time. rows, the rows per block, keeps the normals in
+    flight at _CHUNK_VALUES in all. Callers allocate each span's block
+    buffers before run_spans starts a thread: blocks that worker threads
+    allocate and free stay in the allocator's per-thread arenas, which made
+    the peak RSS vary from run to run.
+    """
+    import scipy.special  # noqa: F401  (before any thread imports it in _draw_rows)
+
+    steps = params.steps
+    seq = np.random.SeedSequence(params.seed)  # for seed=None, the one entropy draw
+    spans = split_rows(params.paths, -(-_SPAN_VALUES // steps))
+    rows = max(1, _CHUNK_VALUES // len(spans) // steps)
+    return [(np.random.Generator(np.random.PCG64(seq).advance(span.start * steps)), span,
+             min(rows, len(span))) for span in spans]
 
 
 def simulate_paths(params: GbmParams) -> np.ndarray:
@@ -148,13 +189,18 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
 
     Exact log-space update per step:
         S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) xi).
-    Deterministic given params.seed, and the same for any _CHUNK_VALUES.
+    Deterministic given params.seed, and the same for any _CHUNK_VALUES
+    and any thread count.
     """
     out = np.empty((params.paths, params.steps + 1))
-    rng = np.random.default_rng(params.seed)
-    rows = max(1, _CHUNK_VALUES // params.steps)
-    for lo in range(0, params.paths, rows):
-        _draw_rows(rng, params, out[lo : lo + rows])
+
+    def fill(rng: np.random.Generator, span: range, normals: np.ndarray) -> None:
+        for lo in range(span.start, span.stop, len(normals)):
+            hi = min(lo + len(normals), span.stop)
+            _draw_rows(rng, params, out[lo:hi], normals[: hi - lo])
+
+    run_spans([partial(fill, rng, span, np.empty((rows, params.steps)))
+               for rng, span, rows in _split(params)])
     return out
 
 
@@ -171,7 +217,7 @@ def residual_integral(path: np.ndarray, params: GbmParams) -> float:
             f"grid mismatch: path has shape {path.shape}, params grid needs "
             f"({params.steps + 1},)"
         )
-    return float(_residual_integrals(path, params))
+    return float(_residual_integrals(path, params, np.empty(params.steps)))
 
 
 def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
@@ -186,14 +232,20 @@ def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    rng = np.random.default_rng(params.seed)
-    rows = max(1, _CHUNK_VALUES // params.steps)
-    block = np.empty((min(rows, params.paths), params.steps + 1))
-    exceed = 0
-    for lo in range(0, params.paths, rows):
-        prices = block[: params.paths - lo]
-        _draw_rows(rng, params, prices)
-        exceed += int(np.count_nonzero(np.abs(_residual_integrals(prices, params)) > epsilon))
+
+    def count(rng: np.random.Generator, span: range, block: np.ndarray, terms: np.ndarray) -> int:
+        exceed = 0
+        for lo in range(span.start, span.stop, len(block)):
+            prices = block[: span.stop - lo]
+            _draw_rows(rng, params, prices, terms[: len(prices)])
+            integrals = _residual_integrals(prices, params, terms[: len(prices)])
+            exceed += int(np.count_nonzero(np.abs(integrals) > epsilon))
+        return exceed
+
+    exceed = sum(run_spans([
+        partial(count, rng, span, np.empty((rows, params.steps + 1)), np.empty((rows, params.steps)))
+        for rng, span, rows in _split(params)
+    ]))
     p_hat = exceed / params.paths
     stderr = sqrt(p_hat * (1.0 - p_hat) / params.paths)
     return ResidualStat(epsilon=epsilon, p_hat=p_hat, stderr=stderr, paths=params.paths)

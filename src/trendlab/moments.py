@@ -8,13 +8,13 @@ variance carry no skew/kurt value and are flagged undefined.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._spans import run_spans, split_rows
 from .series_io import date_labels, emit_table
 
 _CHUNK_ROWS = 8192  # window rows in flight across all threads
@@ -34,15 +34,6 @@ class MomentTrack:
 
     def __len__(self) -> int:
         return len(self.std)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU of the machine."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict[int, np.ndarray]:
@@ -67,39 +58,19 @@ def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict
     rows = len(fluct) - m
     out = {k: np.empty(rows) for k in ks}
     windows = sliding_window_view(fluct, m + 1)
-    workers = max(1, min(_cpu_count(), rows // _SPAN_ROWS))
-    chunk = max(1, _CHUNK_ROWS // workers)
+    spans = split_rows(rows, _SPAN_ROWS)
+    chunk = max(1, _CHUNK_ROWS // len(spans))
 
-    def fill(start: int, stop: int) -> None:
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
+    def fill(span: range) -> None:
+        for lo in range(span.start, span.stop, chunk):
+            hi = min(lo + chunk, span.stop)
             block = windows[lo:hi]
             mean = block.mean(axis=1)
             centered = block - mean[:, None]
             for k in ks:
                 out[k][lo:hi] = (centered**k).sum(axis=1) / (m + 1)
 
-    errors: list[BaseException] = []
-
-    def run(start: int, stop: int) -> None:
-        try:
-            fill(start, stop)
-        except BaseException as exc:  # re-raised on the caller's thread below
-            errors.append(exc)
-
-    bounds = [rows * w // workers for w in range(workers + 1)]
-    threads: list[threading.Thread] = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(bounds[w], bounds[w + 1]))
-            thread.start()
-            threads.append(thread)
-        fill(bounds[0], bounds[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    run_spans([partial(fill, span) for span in spans])
     return out
 
 

@@ -100,6 +100,14 @@ def _check_price_literals(path: str, cells: list[str]) -> None:
             raise ValueError(f"{path} row {row_no}: unparsable price {cell!r}")
 
 
+def _reject_nul(path: str, line_num: int, *cells: Optional[str]) -> None:
+    """Reject a NUL byte in the date or price cell with the message the
+    csv reader of Python 3.10 gives for any line that holds one (later
+    versions pass NUL through into the cells)."""
+    if any("\0" in cell for cell in cells if cell):
+        raise ValueError(f"{path} line {line_num}: line contains NUL")
+
+
 def load_prices(
     path: str,
     date_col: str = "Date",
@@ -113,7 +121,9 @@ def load_prices(
     dates are kept as read. A price is an ASCII decimal literal: float()
     reads it, and it has no underscore and no non-ASCII digit. Blank lines
     are skipped and not counted: the header is row 1 and data rows are
-    numbered from 2.
+    numbered from 2. A malformed line (a field over the csv module's size
+    limit, or a NUL byte in the date or price cell) is named by its line
+    number in the file instead.
 
     Args:
         path: file location.
@@ -136,28 +146,30 @@ def load_prices(
     cells: list[str] = []  # price cells float() read, in row order from row 2
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        fields = [f.strip() for f in header]
-        if date_col not in fields or price_col not in fields:
-            raise ValueError(
-                f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
-            )
-        for col in (date_col, price_col):
-            if fields.count(col) > 1:
-                raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
-        di, pi = fields.index(date_col), fields.index(price_col)
-        width = max(di, pi) + 1
         try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file, expected a header row")
+            fields = [f.strip() for f in header]
+            if date_col not in fields or price_col not in fields:
+                raise ValueError(
+                    f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
+                )
+            for col in (date_col, price_col):
+                if fields.count(col) > 1:
+                    raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
+            di, pi = fields.index(date_col), fields.index(price_col)
+            width = max(di, pi) + 1
             for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
                 row += [None] * (width - len(row))  # a short row reads as missing cells
                 day = _iso_day(row[di])
                 if day is None:
+                    _reject_nul(path, reader.line_num, row[di], row[pi])
                     raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
                 try:
                     price = float(row[pi])
                 except (TypeError, ValueError) as exc:
+                    _reject_nul(path, reader.line_num, row[pi])
                     raise ValueError(f"{path} row {row_no}: unparsable price {row[pi]!r}") from exc
                 cells.append(row[pi])
                 if not math.isfinite(price):
@@ -171,8 +183,10 @@ def load_prices(
                     )
                 dates.append(day)
                 values.append(price)
-        except ValueError:
+        except (csv.Error, ValueError) as exc:
             _check_price_literals(path, cells)  # a price cell read before the fault wins
+            if isinstance(exc, csv.Error):  # a field over csv.field_size_limit(), say
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
             raise
         _check_price_literals(path, cells)
     if len(values) < 2:

@@ -274,6 +274,19 @@ class TestErrorHandling:
         assert rc == 2
         assert "non-positive price" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell, message", [
+        ('"' + "1" * 140_000 + '"', "line 3: field larger than field limit"),
+        ("1\x002", "line 3: line contains NUL"),
+    ])
+    def test_malformed_line_exits_2_naming_it(self, tmp_path, capsys, cell, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"Date,Close\n2021-01-01,10\n2021-01-02,{cell}\n")
+        rc = main(["moments", "--input", str(path), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} {message}") and "Traceback" not in err
+        assert list(tmp_path.glob("bad_*")) == []
+
     def test_unknown_flag_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--frobnicate"])

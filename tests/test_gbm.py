@@ -1,20 +1,37 @@
 """Geometric Brownian motion simulator and the residual-integral test."""
 import math
+import threading
+import warnings
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
+import trendlab._spans as spans
 import trendlab.gbm as gbm
 from trendlab.gbm import (
     NORMAL_SOURCE,
     GbmParams,
+    ResidualStat,
     oscillation_probability,
     residual_integral,
     simulate_paths,
 )
+
+
+def serial_ensemble(params):
+    """The ensemble from the whole (paths, steps) integer matrix of one
+    default_rng(seed), drawn in one piece: normals ndtri((k + 1/2) 2^-53),
+    then exact log steps, cumulated from log(S / s0) = 0."""
+    k = np.random.default_rng(params.seed).integers(0, 1 << 53, size=(params.paths, params.steps))
+    drift, scale = params._log_step()
+    log_prices = np.zeros((params.paths, params.steps + 1))
+    np.cumsum(ndtri((k + 0.5) * 2.0**-53) * scale + drift, axis=1, out=log_prices[:, 1:])
+    return params.s0 * np.exp(log_prices)
 
 
 class TestGbmParams:
@@ -76,23 +93,6 @@ class TestSimulatePaths:
         params = GbmParams(mu=0.05, sigma=0.2, steps=64, paths=11, seed=42)
         np.testing.assert_array_equal(simulate_paths(params), simulate_paths(params))
 
-    @settings(max_examples=60, deadline=None)
-    @given(steps=st.integers(1, 40), paths=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
-           sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
-           epsilon=st.sampled_from([0.001, 0.01, 0.05]), data=st.data())
-    def test_chunking_does_not_change_the_stream(self, steps, paths, seed, sigma, epsilon, data):
-        params = GbmParams(mu=0.05, sigma=sigma, steps=steps, paths=paths, seed=seed)
-        # hypothesis rejects function-scoped fixtures such as monkeypatch
-        with patch.object(gbm, "_CHUNK_VALUES", paths * steps):
-            full = simulate_paths(params)
-            stat = oscillation_probability(params, epsilon)
-        chunk = data.draw(st.integers(1, paths * steps + steps), label="_CHUNK_VALUES")
-        with patch.object(gbm, "_CHUNK_VALUES", chunk):
-            np.testing.assert_array_equal(simulate_paths(params), full)
-            assert oscillation_probability(params, epsilon) == stat
-        integrals = np.array([residual_integral(row, params) for row in full])
-        assert stat.p_hat == np.count_nonzero(np.abs(integrals) > epsilon) / paths
-
     def test_terminal_mean_matches_theory(self):
         params = GbmParams(mu=0.05, sigma=0.2, steps=400, paths=4000, seed=9)
         terminal = simulate_paths(params)[:, -1]
@@ -104,6 +104,64 @@ class TestSimulatePaths:
         params = GbmParams(mu=0.05, sigma=0.2, steps=400, paths=4000, seed=10)
         logs = np.log(simulate_paths(params)[:, -1])
         assert float(np.var(logs)) == pytest.approx(0.04, rel=0.15)
+
+
+class TestThreadSplit:
+    @settings(max_examples=100, deadline=None)
+    @given(paths=st.integers(1, 30), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           cpus=st.integers(1, 8), chunk=st.integers(1, 200),
+           sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+           epsilon=st.sampled_from([0.001, 0.01, 0.05]))
+    def test_any_split_equals_the_serial_stream(self, paths, steps, seed, cpus, chunk, sigma, epsilon):
+        params = GbmParams(mu=0.05, sigma=sigma, steps=steps, paths=paths, seed=seed)
+        want = serial_ensemble(params)
+        t = params.grid()
+        integrals = np.trapezoid(want - params.s0 * np.exp(params.mu * t), t)
+        np.testing.assert_array_equal([residual_integral(row, params) for row in want], integrals)
+        p_hat = np.count_nonzero(np.abs(integrals) > epsilon) / paths
+        want_stat = ResidualStat(epsilon=epsilon, p_hat=p_hat, paths=paths,
+                                 stderr=math.sqrt(p_hat * (1.0 - p_hat) / paths))
+        # one-row spans, so small ensembles split too and paths can fall
+        # below the CPU count; hypothesis rejects the monkeypatch fixture
+        with patch.object(spans, "_cpu_count", lambda: cpus), \
+                patch.object(gbm, "_SPAN_VALUES", 1), patch.object(gbm, "_CHUNK_VALUES", chunk):
+            np.testing.assert_array_equal(simulate_paths(params), want)
+            assert oscillation_probability(params, epsilon) == want_stat
+
+    @pytest.mark.parametrize("run", [simulate_paths, lambda p: oscillation_probability(p, 0.05)],
+                             ids=["simulate_paths", "oscillation_probability"])
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_failing_span_reaches_the_caller(self, monkeypatch, run, failing):
+        real_draw = gbm._draw_rows
+
+        def draw(*args):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (failing == "caller"):
+                raise RuntimeError(f"{failing} span failed")
+            real_draw(*args)
+
+        monkeypatch.setattr(gbm, "_draw_rows", draw)
+        monkeypatch.setattr(spans, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(gbm, "_SPAN_VALUES", 1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
+            run(GbmParams(mu=0.05, sigma=0.2, steps=10, paths=40, seed=0))
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("run", [simulate_paths, lambda p: oscillation_probability(p, 0.05)],
+                             ids=["simulate_paths", "oscillation_probability"])
+    def test_overflow_on_a_worker_raises_and_does_not_warn(self, monkeypatch, run):
+        # np.errstate is context-local and a new thread starts from the
+        # default over="warn", so each span must set it on its own thread
+        monkeypatch.setattr(spans, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(gbm, "_SPAN_VALUES", 1)
+        params = GbmParams(mu=0.0, sigma=0.5, s0=1e308, steps=10, paths=2, seed=4)
+        run(replace(params, paths=1))  # row 0, the caller's span, stays finite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"prices overflow a double, got s0=1e\+308, "):
+                run(params)
+        assert [w.message for w in caught] == []
 
 
 class TestResidualIntegral:

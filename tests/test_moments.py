@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendlab._spans as spans
 import trendlab.moments as moments
 from trendlab.moments import emit_moments, moment_tracks, rolling_central_moment
 
@@ -68,7 +69,7 @@ class TestThreadSplit:
         fluct = rng.normal(0.0, 1.0, n_minus_m + m)
         fluct[: len(fluct) // 3] = 0.0  # negative, positive and zero lanes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(moments, "_cpu_count", lambda: cpus)
+            mp.setattr(spans, "_cpu_count", lambda: cpus)
             mp.setattr(moments, "_SPAN_ROWS", 1)
             mp.setattr(moments, "_CHUNK_ROWS", chunk_rows)
             for k in (2, 3, 4):
@@ -92,7 +93,7 @@ class TestThreadSplit:
 
         real_view = moments.sliding_window_view
         monkeypatch.setattr(moments, "sliding_window_view", lambda x, w: FailingWindows(real_view(x, w)))
-        monkeypatch.setattr(moments, "_cpu_count", lambda: 4)
+        monkeypatch.setattr(spans, "_cpu_count", lambda: 4)
         monkeypatch.setattr(moments, "_SPAN_ROWS", 1)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} span failed"):

@@ -230,6 +230,37 @@ class TestLoadPrices:
         with pytest.raises(ValueError, match="empty file"):
             load_prices(str(path))
 
+    @pytest.mark.parametrize("text, line", [
+        ('Date,Close\n2020-01-01,10\n2020-01-02,"' + "1" * 140_000 + '"\n', 3),
+        # a quoted cell over several lines is named by the line it ends on
+        ('Date,Close\n2020-01-01,10\n\n2020-01-02,"1\n' + "1" * 140_000 + '"\n', 5),
+        ('"Date' + " " * 140_000 + '",Close\n2020-01-01,10\n', 1),
+    ])
+    def test_csv_errors_become_value_errors_naming_the_line(self, tmp_path, text, line):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        limit = csv.field_size_limit()
+        message = f"{re.escape(str(path))} line {line}: field larger than field limit \\({limit}\\)$"
+        with pytest.raises(ValueError, match=message) as exc:
+            load_prices(str(path))
+        assert isinstance(exc.value.__cause__, csv.Error)
+
+    @pytest.mark.parametrize("row", ["2020-01-03,1\x002", "2020-01-03,12\x00", "20\x0020-01-03,12",
+                                     "2020-01-03\x00,12", "2020-0x-03,1\x002"])
+    def test_nul_in_date_or_price_cell_has_one_message_on_every_python(self, tmp_path, row):
+        # the csv reader of Python 3.10 raises on a NUL byte, later ones
+        # pass it into the cell
+        path = tmp_path / "nul.csv"
+        path.write_text(f"Date,Close\n2020-01-01,10\n\n2020-01-02,11\n{row}\n2020-01-04,13\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 5: line contains NUL$"):
+            load_prices(str(path))
+
+    def test_earlier_bad_price_wins_over_a_later_malformed_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("Date,Close\n2020-01-01,1_0\n2020-01-02,1\x002\n")
+        with pytest.raises(ValueError, match="row 2: unparsable price '1_0'$"):
+            load_prices(str(path))
+
 
 class TestDumpPrices:
     def test_round_trip_preserves_values_and_dates(self, tmp_path):
