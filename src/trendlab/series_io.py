@@ -1,9 +1,9 @@
 """Price file ingestion onto a uniform sample grid, and the output text format.
 
-Input files are delimiter-separated text with a header row; the date and
-price columns are selected by name and must each appear once. Dates are
-YYYY-MM-DD (ASCII digits, a real calendar day) on every supported Python,
-and prices are ASCII decimal literals.
+Input files are UTF-8, delimiter-separated text with a header row; the
+date and price columns are selected by name and must each appear once.
+Dates are YYYY-MM-DD (ASCII digits, a real calendar day) on every
+supported Python, and prices are ASCII decimal literals.
 Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
 are not interpolated, each row is one step of the uniform trading-day
 grid, whose interval is kernels.EstimatorSpec.spacing.
@@ -16,6 +16,7 @@ for flat key=value summaries.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import re
@@ -79,33 +80,26 @@ def _iso_day(cell: Optional[str]) -> Optional[str]:
     return None
 
 
-def _check_price_literals(path: str, cells: list[str]) -> None:
-    """Reject the first price cell that is not, once stripped, an ASCII
-    decimal literal (or an inf/nan spelling, left to the finiteness check).
-
-    Every cell was read by float(), which beyond those literals reads only
-    underscores between digits and non-ASCII digits; so a stripped cell is
-    plain exactly when it is ASCII without '_'. The joined column is
-    checked in one pass, and cell by cell only to find the row that fails.
-
-    Raises:
-        ValueError: "row N: unparsable price" for the first such cell.
-    """
-    column = "".join(cells)
-    if column.isascii() and "_" not in column:
-        return
-    for row_no, cell in enumerate(cells, start=2):
-        text = cell.strip()
-        if not text.isascii() or "_" in text:
-            raise ValueError(f"{path} row {row_no}: unparsable price {cell!r}")
+def _line_num(head: bytes) -> int:
+    """The csv reader's line_num for a fault just after head: one more than
+    the line ends in head, where each of CR LF, CR and LF ends one line."""
+    return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
 
 
-def _reject_nul(path: str, line_num: int, *cells: Optional[str]) -> None:
-    """Reject a NUL byte in the date or price cell with the message the
-    csv reader of Python 3.10 gives for any line that holds one (later
-    versions pass NUL through into the cells)."""
-    if any("\0" in cell for cell in cells if cell):
-        raise ValueError(f"{path} line {line_num}: line contains NUL")
+def _read_text(path: str) -> str:
+    """The file's UTF-8 text without a leading byte-order mark. The first
+    byte that is not UTF-8, else the first NUL byte, is named by its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = _line_num(exc.object[: exc.start])
+        raise ValueError(f"{path} line {line}: not UTF-8 text ({exc.reason})") from exc
+    nul = data.find(b"\0")
+    if nul >= 0:
+        raise ValueError(f"{path} line {_line_num(data[:nul])}: line contains NUL")
+    return text
 
 
 def load_prices(
@@ -117,13 +111,15 @@ def load_prices(
 ) -> PriceSeries:
     """Read a delimiter-separated price file.
 
-    Header names and date and price cells are stripped of whitespace, and
-    dates are kept as read. A price is an ASCII decimal literal: float()
-    reads it, and it has no underscore and no non-ASCII digit. Blank lines
-    are skipped and not counted: the header is row 1 and data rows are
+    The file is UTF-8 text; a leading byte-order mark is dropped. A byte
+    that is not UTF-8, or a NUL byte anywhere, rejects the whole file
+    before any row is read, named by its line number in the file. Header
+    names and date and price cells are stripped of whitespace, and dates
+    are kept as read. A price is an ASCII decimal literal: float() reads
+    it, and it has no underscore and no non-ASCII digit. Blank lines are
+    skipped and not counted: the header is row 1 and data rows are
     numbered from 2. A malformed line (a field over the csv module's size
-    limit, or a NUL byte in the date or price cell) is named by its line
-    number in the file instead.
+    limit) is named by its line number in the file instead.
 
     Args:
         path: file location.
@@ -137,58 +133,57 @@ def load_prices(
         PriceSeries on the uniform trading-day grid, row order preserved.
 
     Raises:
-        ValueError: missing or repeated columns, unparsable rows,
-            non-finite or non-positive prices, or non-monotone dates,
-            with the offending row number.
+        ValueError: bytes that are not UTF-8 text or a NUL byte, missing
+            or repeated columns, unparsable rows, non-finite or
+            non-positive prices, or non-monotone dates, with the
+            offending line or row number.
     """
+    text = _read_text(path)
+    # float() reads, beyond ASCII decimal literals, only underscores
+    # between digits and non-ASCII digits: neither occurs in such a text
+    plain = text.isascii() and "_" not in text
     values: list[float] = []
     dates: list[str] = []
-    cells: list[str] = []  # price cells float() read, in row order from row 2
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file, expected a header row")
-            fields = [f.strip() for f in header]
-            if date_col not in fields or price_col not in fields:
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        fields = [f.strip() for f in header]
+        if date_col not in fields or price_col not in fields:
+            raise ValueError(
+                f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
+            )
+        for col in (date_col, price_col):
+            if fields.count(col) > 1:
+                raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
+        di, pi = fields.index(date_col), fields.index(price_col)
+        width = max(di, pi) + 1
+        for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
+            row += [None] * (width - len(row))  # a short row reads as missing cells
+            day = _iso_day(row[di])
+            if day is None:
+                raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
+            cell = row[pi]
+            try:
+                price = float(cell)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path} row {row_no}: unparsable price {cell!r}") from exc
+            if not plain and (not cell.strip().isascii() or "_" in cell):
+                raise ValueError(f"{path} row {row_no}: unparsable price {cell!r}")
+            if not math.isfinite(price):
+                raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
+            if not price > 0:
+                raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
+            # fixed-width YYYY-MM-DD strings order as their dates do
+            if dates and day <= dates[-1]:
                 raise ValueError(
-                    f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
+                    f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
                 )
-            for col in (date_col, price_col):
-                if fields.count(col) > 1:
-                    raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
-            di, pi = fields.index(date_col), fields.index(price_col)
-            width = max(di, pi) + 1
-            for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
-                row += [None] * (width - len(row))  # a short row reads as missing cells
-                day = _iso_day(row[di])
-                if day is None:
-                    _reject_nul(path, reader.line_num, row[di], row[pi])
-                    raise ValueError(f"{path} row {row_no}: unparsable date {row[di]!r}")
-                try:
-                    price = float(row[pi])
-                except (TypeError, ValueError) as exc:
-                    _reject_nul(path, reader.line_num, row[pi])
-                    raise ValueError(f"{path} row {row_no}: unparsable price {row[pi]!r}") from exc
-                cells.append(row[pi])
-                if not math.isfinite(price):
-                    raise ValueError(f"{path} row {row_no}: non-finite price {price!r}")
-                if not price > 0:
-                    raise ValueError(f"{path} row {row_no}: non-positive price {price!r}")
-                # fixed-width YYYY-MM-DD strings order as their dates do
-                if dates and day <= dates[-1]:
-                    raise ValueError(
-                        f"{path} row {row_no}: non-monotone dates ({day} after {dates[-1]})"
-                    )
-                dates.append(day)
-                values.append(price)
-        except (csv.Error, ValueError) as exc:
-            _check_price_literals(path, cells)  # a price cell read before the fault wins
-            if isinstance(exc, csv.Error):  # a field over csv.field_size_limit(), say
-                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
-            raise
-        _check_price_literals(path, cells)
+            dates.append(day)
+            values.append(price)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
     label = name if name is not None else os.path.splitext(os.path.basename(path))[0]

@@ -1,5 +1,6 @@
 """Command-line entry points: outputs, exit codes, and atomicity."""
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -232,6 +233,12 @@ class TestGbm:
         assert list(tmp_path.iterdir()) == []
 
 
+def _package_path():
+    """PYTHONPATH for a child process that imports this trendlab."""
+    package_root = str(Path(trendlab.__file__).resolve().parents[1])
+    return os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+
+
 class TestImportPath:
     def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
         # importing scipy.special takes longer than processing a small
@@ -248,14 +255,59 @@ class TestImportPath:
             argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
             assert trendlab.cli.main(argv) == 0
         """)
-        package_root = str(Path(trendlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
         run = subprocess.run(
             [sys.executable, "-c", script, str(noisy_csv), str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": _package_path()}, capture_output=True, text=True,
+            timeout=120,
         )
         assert run.returncode == 0, run.stderr
         assert (tmp_path / "gbm_stats.kv").exists()
+
+
+def _run_every_subcommand(src, out, env):
+    """Run the five subcommands on src in one child process with env."""
+    script = textwrap.dedent("""
+        import sys
+        import trendlab.cli
+        src, out = sys.argv[1:]
+        for cmd in ("decompose", "moments", "forecast", "backtest"):
+            assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
+        assert trendlab.cli.main(["gbm", "--out-dir", out]) == 0
+    """)
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(src), str(out)],
+        env={**env, "PYTHONPATH": _package_path()}, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the disabled features are x86 ones")
+def test_outputs_do_not_depend_on_the_numpy_dispatch_level(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES keeps numpy off its AVX-512 loops (on a host
+    # without AVX-512 it changes nothing). Only the moments' skew and kurt
+    # move. Measured on 30 series of 3,000 samples, M=100: kurt by at most
+    # 4 ulps, skew by at most 2 ulps of sqrt(kurt); skew sums terms that
+    # cancel, so its own ulps bound nothing near 0, while |skew| <= sqrt(kurt).
+    i = np.arange(2000)
+    src = write_price_csv(tmp_path / "prices.csv", 100 + 5 * np.sin(i / 40) + i * 7919 % 101 / 50)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+    native, levelled = tmp_path / "native", tmp_path / "no-avx512"
+    _run_every_subcommand(src, native, env)
+    _run_every_subcommand(src, levelled, {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+
+    names = sorted(p.name for p in native.iterdir())
+    assert names == sorted(p.name for p in levelled.iterdir()) and len(names) == 7
+    for name in names:
+        if name != "prices_moments.csv":
+            assert (native / name).read_bytes() == (levelled / name).read_bytes(), name
+    a, b = (np.genfromtxt(d / "prices_moments.csv", delimiter=",", names=True, dtype=None, encoding="utf-8")
+            for d in (native, levelled))
+    for col in ("index", "date", "std"):
+        assert a[col].tolist() == b[col].tolist()
+    assert np.all(np.abs(a["kurt"] - b["kurt"]) <= 8 * np.spacing(np.maximum(a["kurt"], b["kurt"])))
+    assert np.all(np.abs(a["skew"] - b["skew"]) <= 8 * np.spacing(np.sqrt(np.maximum(a["kurt"], b["kurt"]))))
 
 
 class TestErrorHandling:
@@ -286,6 +338,23 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} {message}") and "Traceback" not in err
         assert list(tmp_path.glob("bad_*")) == []
+
+    def test_failed_rename_exits_2_and_leaves_no_temp_file(self, noisy_csv, tmp_path, capsys,
+                                                            monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot rename onto {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rc = main(["decompose", "--input", str(noisy_csv), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: cannot rename onto" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_horizons_that_are_not_integers_exit_2(self, noisy_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["forecast", "--input", str(noisy_csv), "--horizons", "1,x", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "horizons must be comma-separated integers, got '1,x'" in capsys.readouterr().err
 
     def test_unknown_flag_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

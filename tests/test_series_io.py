@@ -100,6 +100,10 @@ class TestPriceSeries:
         with pytest.raises(TypeError):
             PriceSeries("acme", np.array([1.0, 2.0]), spacing=0.5)
 
+    def test_rejects_dates_of_another_length(self):
+        with pytest.raises(ValueError, match="dates length 1 does not match values length 2$"):
+            PriceSeries("acme", np.array([1.0, 2.0]), dates=("2020-01-01",))
+
     def test_date_label_falls_back_to_index(self):
         s = PriceSeries("acme", np.array([1.0, 2.0]))
         assert list(date_labels(s.dates, 1, 2)) == ["1"]
@@ -245,20 +249,60 @@ class TestLoadPrices:
             load_prices(str(path))
         assert isinstance(exc.value.__cause__, csv.Error)
 
-    @pytest.mark.parametrize("row", ["2020-01-03,1\x002", "2020-01-03,12\x00", "20\x0020-01-03,12",
-                                     "2020-01-03\x00,12", "2020-0x-03,1\x002"])
-    def test_nul_in_date_or_price_cell_has_one_message_on_every_python(self, tmp_path, row):
-        # the csv reader of Python 3.10 raises on a NUL byte, later ones
-        # pass it into the cell
+    @pytest.mark.parametrize("header, row, line", [
+        ("Date,Close", "2020-01-03,1\x002", 5), ("Date,Close", "2020-01-03,12\x00", 5),
+        ("Date,Close", "20\x0020-01-03,12", 5), ("Date,Close", "2020-01-03\x00,12", 5),
+        ("Date,Close", "2020-0x-03,1\x002", 5), ("Date,Close", "2020-01-03,12,x\x00", 5),
+        ("Date,Close,Vol\x00ume", "2020-01-03,12,1", 1), ("Da\x00te,Close", "2020-01-03,12", 1),
+    ])
+    def test_nul_in_date_or_price_cell_has_one_message_on_every_python(self, tmp_path, header,
+                                                                      row, line):
+        # the csv reader of Python 3.10 raises on a NUL byte anywhere, later
+        # ones pass it into the cell; the file is checked before its rows
         path = tmp_path / "nul.csv"
-        path.write_text(f"Date,Close\n2020-01-01,10\n\n2020-01-02,11\n{row}\n2020-01-04,13\n")
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 5: line contains NUL$"):
+        path.write_text(f"{header}\n2020-01-01,10\n\n2020-01-02,11\n{row}\n2020-01-04,13\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} line {line}: line contains NUL$"):
             load_prices(str(path))
 
+    @pytest.mark.parametrize("data, line, reason", [
+        (b"Date,Close\n2020-01-01,10\n2020-01-02,\xff1\n", 3, "invalid start byte"),
+        (b"Date,Close\r\n2020-01-01,10\r\n\r\n2020-01-02,1\xff\r\n", 4, "invalid start byte"),
+        (b"Date,Close\r2020-01-01,10\r2020-01-02,\xed\xa0\x80\r", 3, "invalid continuation byte"),
+        (b"\xef\xbb\xbfDate,Close\n2020-01-01,10\n2020-01-02,11\xe2\x82", 3, "unexpected end of data"),
+        # only CR LF, CR and LF end a line, as for the csv reader, not the
+        # other line breaks str.splitlines knows
+        ("Date,Close,x\n2020-01-01,10,\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\n".encode()
+         + b"2020-01-02,\x80\n", 3, "invalid start byte"),
+    ])
+    def test_bytes_that_are_not_utf8_are_named_by_their_line(self, tmp_path, data, line, reason):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(data)
+        message = f"{re.escape(str(path))} line {line}: not UTF-8 text \\({reason}\\)$"
+        with pytest.raises(ValueError, match=message) as exc:
+            load_prices(str(path))
+        assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        plain = write_price_csv(tmp_path / "plain.csv", [10.0, 10.5, 11.25])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_prices(str(plain), name="s"), load_prices(str(marked), name="s")
+        assert (a.name, a.values.tobytes(), a.dates) == (b.name, b.values.tobytes(), b.dates)
+        # anywhere else U+FEFF stays in its cell, and it is not whitespace
+        marked.write_text("\ufeffDate,Close\n2020-01-01,10\n\ufeff2020-01-02,11\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"row 3: unparsable date '\\ufeff2020-01-02'$"):
+            load_prices(str(marked))
+
     def test_earlier_bad_price_wins_over_a_later_malformed_line(self, tmp_path):
+        # rows are checked as they are read, before the csv reader reaches
+        # a later field over its size limit
         path = tmp_path / "bad.csv"
-        path.write_text("Date,Close\n2020-01-01,1_0\n2020-01-02,1\x002\n")
+        path.write_text('Date,Close\n2020-01-01,1_0\n2020-01-02,"' + "1" * 140_000 + '"\n')
         with pytest.raises(ValueError, match="row 2: unparsable price '1_0'$"):
+            load_prices(str(path))
+        # but a NUL byte anywhere rejects the file before any row is read
+        path.write_text("Date,Close\n2020-01-01,1_0\n2020-01-02,1\x002\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 3: line contains NUL$"):
             load_prices(str(path))
 
 
@@ -346,3 +390,37 @@ def test_reader_matches_the_dictreader_oracle(file):
         path = str(Path(tmp) / "prices.csv")
         Path(path).write_text(text, encoding="utf-8", newline="")
         assert _outcome(load_prices, path, delimiter) == _outcome(dictreader_load_prices, path, delimiter)
+
+
+@st.composite
+def damaged_price_files(draw):
+    """Bytes of a price file with a NUL, a byte that is not UTF-8 or a
+    quote inserted, and perhaps cut short, plus its delimiter."""
+    text, delimiter = draw(price_files())
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    damage = draw(st.sampled_from([b"\0", b"\xff", b"\x80", b"\xe2\x82", b"\xed\xa0\x80", b'"']))
+    data = data[:at] + damage + data[at:]
+    return data[: draw(st.integers(at, len(data)))], delimiter
+
+
+def _loads_or_names_the_path(data, delimiter):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "prices.csv")
+        Path(path).write_bytes(data)
+        try:
+            load_prices(path, delimiter=delimiter)
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            assert str(exc).startswith(path), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=200))
+def test_any_bytes_load_or_fail_naming_the_path(data):
+    _loads_or_names_the_path(data, ",")
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_price_files())
+def test_damaged_price_files_load_or_fail_naming_the_path(file):
+    _loads_or_names_the_path(*file)

@@ -12,6 +12,15 @@ import trendlab._spans as spans
 from trendlab._spans import run_spans, split_rows
 
 
+def test_cpu_count_without_an_affinity_mask_is_the_machine_count(monkeypatch):
+    # os.sched_getaffinity does not exist on macOS and Windows
+    monkeypatch.delattr(spans.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(spans.os, "cpu_count", lambda: 3)
+    assert spans._cpu_count() == 3
+    monkeypatch.setattr(spans.os, "cpu_count", lambda: None)  # when it cannot tell
+    assert spans._cpu_count() == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 2000), min_rows=st.integers(1, 300), cpus=st.integers(1, 8))
 def test_split_rows_covers_the_rows_in_order(rows, min_rows, cpus):

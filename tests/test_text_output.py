@@ -19,7 +19,7 @@ from trendlab.decompose import emit_decomposition, sliding_trend
 from trendlab.forecast import first_forecast_origin, forecast_point
 from trendlab.kernels import EstimatorSpec, build_kernel_bank, emit_weights
 from trendlab.moments import emit_moments, moment_tracks, rolling_central_moment
-from trendlab.series_io import PriceSeries, dump_prices, load_prices
+from trendlab.series_io import PriceSeries, dump_prices, emit_table, load_prices
 
 
 def label(dates, i):
@@ -171,3 +171,8 @@ def test_forecast_rows_equal_the_cell_loop(degree, slow_extra, fast_extra, M, ho
         assert rc == 0
         got = (Path(tmp) / "s_forecast.csv").read_text(encoding="utf-8")
     assert got == old_forecast_rows(series, spec, fast_window, M, horizons, level, deadband)
+
+
+def test_columns_of_different_lengths_are_rejected():
+    with pytest.raises(ValueError, match=r"table columns differ in length: \[1, 2\]$"):
+        emit_table(("a", "b", "c"), (["x"], None, np.array([1.0, 2.0])))
