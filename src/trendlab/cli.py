@@ -4,9 +4,9 @@ One executable with subcommands (decompose, moments, forecast, backtest,
 gbm). forecast and backtest validate their flags as one BacktestConfig
 and share backtest.forecast_setup. Every output is computed fully before
 anything is written, and each file is written atomically (temp file +
-rename), so failures leave no partial outputs. Given identical inputs,
-flags, and seed, outputs are byte-identical across runs on one host and
-numpy build.
+rename, with the mode open() would give), so failures leave no partial
+outputs. Given identical inputs, flags, and seed, outputs are
+byte-identical across runs on one host and numpy build.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,11 +31,17 @@ from .series_io import date_labels, emit_kv, emit_table, load_prices
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename. The file gets
+    the mode open(path, "w") would give, 0o666 less the process umask;
+    mkstemp alone would leave it 0o600."""
     directory = os.path.dirname(path) or "."
+    umask = os.umask(0)  # the only way to read it; restored at once
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -184,7 +191,10 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
     return _emit_all(args.out_dir, {"gbm_stats.kv": kv})
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The trendlab parser, built once per process (parse_args does not
+    change it); callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="trendlab",
         description="Trend extraction, fluctuation statistics, forecasting, "

@@ -10,12 +10,16 @@ a residual that were quickly fluctuating would make it rare.
 Rows are split into contiguous spans, one thread per CPU (_spans.run_spans).
 Each span draws from its own copy of the one PCG64 stream, advanced to the
 span's first row, so every row gets the same normals for any thread count.
+Scratch is bounded by _CHUNK_VALUES normals across all threads: 8 MiB of
+normals per simulate_paths call, and 8 MiB of block prices plus 8 MiB of
+normals per oscillation_probability call, whatever the ensemble size.
+The mean trend and the step widths are computed once per GbmParams.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import exp, inf, sqrt
 from typing import Optional
 
@@ -27,7 +31,7 @@ from ._spans import run_spans, split_rows
 # from PCG64 integer output; recorded in emitted metadata.
 NORMAL_SOURCE = "pcg64-inverse-transform-ndtri"
 
-_CHUNK_VALUES = 4_000_000  # cap on normals materialized per block, across all threads
+_CHUNK_VALUES = 1 << 20  # cap on normals materialized per block, across all threads
 _SPAN_VALUES = 1 << 17  # fewest normals (rows x steps) worth a thread of their own
 
 
@@ -38,7 +42,8 @@ class GbmParams:
     mu is the drift per unit time, sigma the volatility per sqrt(time),
     all four floats finite; the grid has steps intervals on [0, t_end].
     The per-step log drift and scale and the mean trend s0 e^(mu t) must
-    be finite too, or the paths and residuals would overflow.
+    be finite too, or the paths and residuals would overflow. seed is
+    None (fresh entropy) or an integer >= 0.
     """
 
     mu: float
@@ -62,6 +67,8 @@ class GbmParams:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if not isinstance(self.paths, int) or self.paths < 1:
             raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
+        if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
         try:
             trend_end = self.s0 * exp(self.mu * self.t_end)
         except OverflowError:
@@ -90,6 +97,18 @@ class GbmParams:
     def grid(self) -> np.ndarray:
         """Sample times 0 .. t_end, steps+1 points."""
         return np.linspace(0.0, self.t_end, self.steps + 1)
+
+    @cached_property
+    def _trapezoid(self) -> tuple:
+        """(trend, dt), read-only: the mean trend s0 e^(mu t) on the grid and
+        the grid's step widths, computed on first use and kept."""
+        t = self.grid()
+        with _no_overflow(self):
+            trend = self.s0 * np.exp(self.mu * t)
+        dt = np.diff(t)
+        for arr in (trend, dt):
+            arr.setflags(write=False)
+        return trend, dt
 
 
 @dataclass(frozen=True)
@@ -151,13 +170,14 @@ def _residual_integrals(prices: np.ndarray, params: GbmParams, terms: np.ndarray
 
     np.trapezoid's arithmetic, ((y[1:] + y[:-1]) * dt / 2).sum(), with the
     terms written into terms (prices' shape less one column), not into
-    temporaries.
+    temporaries. Multiplying by dt and then halving is kept: dt / 2 would
+    round differently for subnormal terms.
     """
-    t = params.grid()
+    trend, dt = params._trapezoid
     with _no_overflow(params):
-        prices -= params.s0 * np.exp(params.mu * t)
+        prices -= trend
         np.add(prices[..., 1:], prices[..., :-1], out=terms)
-        terms *= np.diff(t)
+        terms *= dt
         terms /= 2.0
         return terms.sum(axis=-1)
 
@@ -175,6 +195,8 @@ def _split(params: GbmParams) -> list[tuple[np.random.Generator, range, int]]:
     the peak RSS vary from run to run.
     """
     import scipy.special  # noqa: F401  (before any thread imports it in _draw_rows)
+
+    params._trapezoid  # noqa: B018  (cached on this thread, read by every span)
 
     steps = params.steps
     seq = np.random.SeedSequence(params.seed)  # for seed=None, the one entropy draw

@@ -1,6 +1,7 @@
 """Command-line entry points: outputs, exit codes, and atomicity."""
 import os
 import platform
+import stat
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,7 @@ import pytest
 
 import trendlab
 from conftest import write_price_csv
-from trendlab.cli import main
+from trendlab.cli import build_parser, main
 
 
 def read_kv(path):
@@ -224,6 +225,7 @@ class TestGbm:
              "mu=1e+300, s0=1.0, t_end=1.0"),
             (["--s0", "1e308", "--mu", "0", "--sigma", "0.5"],
              "prices overflow a double, got s0=1e+308, mu=0.0, sigma=0.5"),
+            (["--seed", "-1"], "seed must be None or an integer >= 0, got -1"),
         ],
     )
     def test_invalid_parameters_exit_2(self, flags, message, tmp_path, capsys):
@@ -231,6 +233,26 @@ class TestGbm:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives_under_the_umask(noisy_csv, tmp_path, umask, mode):
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        for cmd in ("decompose", "moments", "forecast", "backtest"):
+            assert main([cmd, "--input", str(noisy_csv), "--out-dir", str(out)]) == 0
+        assert main(["gbm", "--steps", "10", "--paths", "10", "--out-dir", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
+    assert len(modes) == 7
+    assert set(modes.values()) == {mode}, modes
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def _package_path():

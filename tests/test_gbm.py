@@ -1,6 +1,7 @@
 """Geometric Brownian motion simulator and the residual-integral test."""
 import math
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest.mock import patch
@@ -73,6 +74,22 @@ class TestGbmParams:
         # a mean trend near the float maximum passes, and a vanishing one is finite
         GbmParams(mu=709.0, sigma=0.2, steps=10)
         GbmParams(mu=-1e300, sigma=0.2, steps=10)
+        for seed in (-1, 1.5, "3"):
+            with pytest.raises(ValueError, match=f"seed must be None or an integer >= 0, got {seed!r}$"):
+                GbmParams(mu=0.0, sigma=0.1, seed=seed)
+        for seed in (None, 0, 2**128):
+            GbmParams(mu=0.0, sigma=0.1, seed=seed)
+
+    def test_trapezoid_grid_is_cached_and_read_only(self):
+        params = GbmParams(mu=0.05, sigma=0.2, s0=3.0, steps=7, t_end=2.0)
+        trend, dt = params._trapezoid
+        assert params._trapezoid[0] is trend and params._trapezoid[1] is dt
+        t = params.grid()
+        np.testing.assert_array_equal(trend, 3.0 * np.exp(0.05 * t))
+        np.testing.assert_array_equal(dt, np.diff(t))
+        assert not trend.flags.writeable and not dt.flags.writeable
+        # a parameter set that is equal but separate gets its own grid
+        assert replace(params)._trapezoid[0] is not trend
 
 
 class TestSimulatePaths:
@@ -162,6 +179,38 @@ class TestThreadSplit:
             with pytest.raises(ValueError, match=r"prices overflow a double, got s0=1e\+308, "):
                 run(params)
         assert [w.message for w in caught] == []
+
+
+MiB = 1 << 20
+
+
+def traced_peak(run):
+    """Peak bytes traced by tracemalloc while run() runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchBound:
+    """Block scratch is capped by _CHUNK_VALUES normals across all threads,
+    whatever the ensemble size; the bounds follow the constant."""
+
+    def setup_method(self):
+        # scipy.special is imported on the first draw; keep it out of the peaks
+        oscillation_probability(GbmParams(mu=0.05, sigma=0.2, steps=2, paths=2, seed=0), 0.05)
+
+    def test_oscillation_probability(self):
+        params = GbmParams(mu=0.05, sigma=0.2, steps=1000, paths=10_000, seed=0)
+        peak, _ = traced_peak(lambda: oscillation_probability(params, 0.05))
+        assert peak <= 2 * 8 * gbm._CHUNK_VALUES + MiB
+
+    def test_simulate_paths(self):
+        params = GbmParams(mu=0.05, sigma=0.2, steps=1000, paths=2_000, seed=0)
+        peak, paths = traced_peak(lambda: simulate_paths(params))
+        assert peak <= paths.nbytes + 8 * gbm._CHUNK_VALUES + MiB
 
 
 class TestResidualIntegral:

@@ -1,5 +1,6 @@
 """Rolling central moments against brute-force recomputation."""
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -130,6 +131,19 @@ class TestMomentTracks:
             np.testing.assert_array_equal(
                 getattr(chunked, field.name), getattr(full, field.name), err_msg=field.name
             )
+
+    def test_scratch_is_bounded_by_the_chunk_rows(self):
+        # the centered block and its power, _CHUNK_ROWS rows of M+1 across
+        # all threads, besides the tracks themselves
+        fluct = np.random.default_rng(327).normal(size=20_000)
+        tracemalloc.start()
+        try:
+            track = moment_tracks(fluct, M=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(arr.nbytes for arr in (track.std, track.skew, track.kurt, track.defined))
+        assert peak <= outputs + 2 * 8 * moments._CHUNK_ROWS * 101 + (1 << 20)
 
     def test_alternating_example(self):
         # window of 4 samples alternating +-1: mean 0, ma2 = 1, ma3 = 0.
