@@ -39,11 +39,11 @@ class BacktestConfig:
     def __post_init__(self) -> None:
         if len(self.horizons) == 0:
             raise ValueError("horizons must be nonempty")
-        if any((not isinstance(h, int)) or h < 1 for h in self.horizons):
+        if any(isinstance(h, bool) or not isinstance(h, int) or h < 1 for h in self.horizons):
             raise ValueError(f"horizons must be integers >= 1, got {self.horizons!r}")
         if len(set(self.horizons)) != len(self.horizons):
             raise ValueError(f"horizons must be distinct, got {self.horizons!r}")
-        if not isinstance(self.M, int) or self.M < 1:
+        if isinstance(self.M, bool) or not isinstance(self.M, int) or self.M < 1:
             raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be inside (0, 1), got {self.level!r}")

@@ -3,10 +3,13 @@
 One executable with subcommands (decompose, moments, forecast, backtest,
 gbm). forecast and backtest validate their flags as one BacktestConfig
 and share backtest.forecast_setup. Every output is computed fully before
-anything is written, and each file is written atomically (temp file +
-rename, with the mode open() would give), so failures leave no partial
-outputs. Given identical inputs, flags, and seed, outputs are
-byte-identical across runs on one host and numpy build.
+anything is written. A subcommand writes every one of its files to a
+temp file before it renames any of them into place (with the mode open()
+would give), so a failed computation or write leaves no new output; only
+a failed rename, which runs after every file has been written, can leave
+earlier files of that subcommand behind. Given identical inputs, flags,
+and seed, outputs are byte-identical across runs on one host and numpy
+build.
 """
 from __future__ import annotations
 
@@ -30,33 +33,33 @@ from .moments import emit_moments, moment_tracks
 from .series_io import date_labels, emit_kv, emit_table, load_prices
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temp file and a rename. The file gets
-    the mode open(path, "w") would give, 0o666 less the process umask;
-    mkstemp alone would leave it 0o600."""
-    directory = os.path.dirname(path) or "."
+def _emit_all(out_dir: str, outputs: dict[str, str]) -> list[str]:
+    """Write outputs (file name -> text) into out_dir; the paths written.
+
+    Every file is first written to a temp file in out_dir, with the mode
+    open(path, "w") would give (0o666 less the process umask; mkstemp alone
+    would leave it 0o600), and only then renamed into place. A failed write
+    removes every temp file, so it leaves no new output.
+    """
+    os.makedirs(out_dir, exist_ok=True)
     umask = os.umask(0)  # the only way to read it; restored at once
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    staged: list[tuple[str, str]] = []  # (temp file, final path)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for filename, text in outputs.items():
+            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
+            staged.append((tmp, os.path.join(out_dir, filename)))
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def _emit_all(out_dir: str, outputs: dict[str, str]) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    for filename, text in outputs.items():
-        path = os.path.join(out_dir, filename)
-        _write_atomic(path, text)
-        written.append(path)
-    return written
+    return [path for _, path in staged]
 
 
 def _horizon_list(text: str) -> tuple[int, ...]:

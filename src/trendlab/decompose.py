@@ -89,7 +89,8 @@ def sliding_trend(series: PriceSeries, bank: KernelBank) -> Decomposition:
     d2 = track(2) if degree >= 2 else None
     # the correctly rounded difference; reconstruction is then exact up
     # to that single rounding (bit-for-bit whenever src - trend is
-    # representable, within one ulp of the source otherwise).
+    # representable, within one ulp of the source where 0 <= trend <=
+    # 2 * src; outside that, trend + fluct rounds at the trend's scale).
     fluct = values[w - 1 :] - trend
     fluct.setflags(write=False)
     return Decomposition(

@@ -10,9 +10,13 @@ a residual that were quickly fluctuating would make it rare.
 Rows are split into contiguous spans, one thread per CPU (_spans.run_spans).
 Each span draws from its own copy of the one PCG64 stream, advanced to the
 span's first row, so every row gets the same normals for any thread count.
-Scratch is bounded by _CHUNK_VALUES normals across all threads: 8 MiB of
-normals per simulate_paths call, and 8 MiB of block prices plus 8 MiB of
-normals per oscillation_probability call, whatever the ensemble size.
+Blocks hold at most _CHUNK_VALUES normals across all threads, and a block's
+normals pass through a stage a few rows at a time, each group cumulated
+into its rows before the next is drawn. simulate_paths writes its blocks
+into the result and keeps one stage of _STAGE_VALUES normals per thread:
+512 KiB each beside the result. oscillation_probability keeps a block of
+prices and a stage as large as the block, 8 MiB of each per call. Both
+bounds hold whatever the ensemble size.
 The mean trend and the step widths are computed once per GbmParams.
 """
 from __future__ import annotations
@@ -33,6 +37,7 @@ NORMAL_SOURCE = "pcg64-inverse-transform-ndtri"
 
 _CHUNK_VALUES = 1 << 20  # cap on normals materialized per block, across all threads
 _SPAN_VALUES = 1 << 17  # fewest normals (rows x steps) worth a thread of their own
+_STAGE_VALUES = 1 << 16  # normals simulate_paths stages per thread (512 KiB)
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,12 @@ class GbmParams:
             raise ValueError(f"sigma must be >= 0 and finite, got {self.sigma!r}")
         if not 0 < self.t_end < inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end!r}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1:
             raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
-        if not isinstance(self.paths, int) or self.paths < 1:
+        if isinstance(self.paths, bool) or not isinstance(self.paths, int) or self.paths < 1:
             raise ValueError(f"paths must be an integer >= 1, got {self.paths!r}")
-        if self.seed is not None and not (isinstance(self.seed, int) and self.seed >= 0):
+        if self.seed is not None and (isinstance(self.seed, bool) or not isinstance(self.seed, int)
+                                      or self.seed < 0):
             raise ValueError(f"seed must be None or an integer >= 0, got {self.seed!r}")
         try:
             trend_end = self.s0 * exp(self.mu * self.t_end)
@@ -137,29 +143,35 @@ def _no_overflow(params: GbmParams):
 
 
 def _draw_rows(rng: np.random.Generator, params: GbmParams, out: np.ndarray,
-               normals: np.ndarray) -> None:
+               stage: np.ndarray) -> None:
     """Draw the ensemble's next len(out) rows of prices into out, column 0 = s0.
 
-    normals is C-contiguous scratch of shape (len(out), steps): ndtri is
-    faster there than on a strided view. random() gives k * 2^-53 for k the
-    top 53 bits of one uint64, as integers(0, 2^53) does (a power-of-two
-    range, so no rejection); adding 2^-54 rounds (k + 1/2) * 2^-53 as
-    float(k) + 0.5 then scaling would. One uint64 per normal, so every
-    split of r rows ends at one stream position.
+    stage is C-contiguous scratch of shape (g, steps) for any g >= 1: the
+    normals go through it g rows at a time, each group cumulated into its
+    rows of out before the next is drawn, and ndtri is faster there than
+    on a strided view. random() gives k * 2^-53 for k the top 53 bits of
+    one uint64, as integers(0, 2^53) does (a power-of-two range, so no
+    rejection); adding 2^-54 rounds (k + 1/2) * 2^-53 as float(k) + 0.5
+    then scaling would. One uint64 per normal, drawn in row order, so
+    every split of r rows into blocks and stage groups ends at one stream
+    position and gives each row the same normals.
     """
     # imported here, not at module top: the series subcommands draw no
     # normals, and importing scipy.special would dominate their start-up
     from scipy.special import ndtri
 
     drift, scale = params._log_step()
-    rng.random(out=normals)
-    normals += 2.0**-54
-    ndtri(normals, out=normals)
+    for lo in range(0, len(out), len(stage)):
+        normals = stage[: len(out) - lo]
+        rng.random(out=normals)
+        normals += 2.0**-54
+        ndtri(normals, out=normals)
+        with _no_overflow(params):
+            normals *= scale
+            normals += drift
+            np.cumsum(normals, axis=1, out=out[lo:lo + len(normals), 1:])
     with _no_overflow(params):
-        normals *= scale
-        normals += drift
         out[:, 0] = 0.0  # log(S / s0) at t = 0
-        np.cumsum(normals, axis=1, out=out[:, 1:])
         np.exp(out, out=out)
         out *= params.s0
 
@@ -189,10 +201,10 @@ def _split(params: GbmParams) -> list[tuple[np.random.Generator, range, int]]:
     rng is the one PCG64 stream of params.seed advanced to the span's first
     row: row r begins at stream position r * steps (one uint64 per normal),
     reached in O(log) time. rows, the rows per block, keeps the normals in
-    flight at _CHUNK_VALUES in all. Callers allocate each span's block
-    buffers before run_spans starts a thread: blocks that worker threads
-    allocate and free stay in the allocator's per-thread arenas, which made
-    the peak RSS vary from run to run.
+    flight at _CHUNK_VALUES in all. Callers allocate each span's buffers
+    (blocks and stages) before run_spans starts a thread: blocks that worker
+    threads allocate and free stay in the allocator's per-thread arenas,
+    which made the peak RSS vary from run to run.
     """
     import scipy.special  # noqa: F401  (before any thread imports it in _draw_rows)
 
@@ -211,17 +223,20 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
 
     Exact log-space update per step:
         S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) xi).
-    Deterministic given params.seed, and the same for any _CHUNK_VALUES
-    and any thread count.
+    Deterministic given params.seed, and the same for any _CHUNK_VALUES,
+    _STAGE_VALUES and thread count. Each span's normals pass through one
+    stage of _STAGE_VALUES normals (one row, where a row holds more), so
+    the scratch beside the result is 512 KiB per thread, whatever the
+    ensemble size.
     """
     out = np.empty((params.paths, params.steps + 1))
 
-    def fill(rng: np.random.Generator, span: range, normals: np.ndarray) -> None:
-        for lo in range(span.start, span.stop, len(normals)):
-            hi = min(lo + len(normals), span.stop)
-            _draw_rows(rng, params, out[lo:hi], normals[: hi - lo])
+    def fill(rng: np.random.Generator, span: range, rows: int, stage: np.ndarray) -> None:
+        for lo in range(span.start, span.stop, rows):
+            _draw_rows(rng, params, out[lo:min(lo + rows, span.stop)], stage)
 
-    run_spans([partial(fill, rng, span, np.empty((rows, params.steps)))
+    run_spans([partial(fill, rng, span, rows,
+                       np.empty((max(1, min(rows, _STAGE_VALUES // params.steps)), params.steps)))
                for rng, span, rows in _split(params)])
     return out
 

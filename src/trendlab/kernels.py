@@ -53,7 +53,7 @@ class EstimatorSpec:
     smoothing: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.degree, int) or self.degree < 0:
+        if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 0:
             raise ValueError(f"degree must be a non-negative integer, got {self.degree!r}")
         if not isinstance(self.window, int) or self.window <= self.degree + 1:
             raise ValueError(
@@ -62,7 +62,7 @@ class EstimatorSpec:
             )
         if not 0 < self.spacing < np.inf:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
-        if not isinstance(self.smoothing, int) or self.smoothing < 1:
+        if isinstance(self.smoothing, bool) or not isinstance(self.smoothing, int) or self.smoothing < 1:
             raise ValueError(f"smoothing must be an integer >= 1, got {self.smoothing!r}")
 
 

@@ -55,7 +55,7 @@ def _rolling_stats(fluctuation: np.ndarray, m: int, ks: tuple[int, ...]) -> dict
         ValueError: m < 1 or sequence shorter than m+1.
     """
     fluct = np.asarray(fluctuation, dtype=float)
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"M must be an integer >= 1, got {m!r}")
     if fluct.ndim != 1 or len(fluct) < m + 1:
         raise ValueError(f"need at least M+1 = {m + 1} samples, got {len(fluct)}")

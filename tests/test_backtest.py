@@ -109,6 +109,11 @@ class TestBacktestConfig:
             BacktestConfig(horizons=(0,))
         with pytest.raises(ValueError, match="M must be an integer >= 1"):
             BacktestConfig(M=0)
+        for flag in (True, False):  # bool is an int subclass, but not a count
+            with pytest.raises(ValueError, match=rf"horizons must be integers >= 1, got \(1, {flag}\)$"):
+                BacktestConfig(horizons=(1, flag))
+            with pytest.raises(ValueError, match=f"M must be an integer >= 1, got {flag}$"):
+                BacktestConfig(M=flag)
         with pytest.raises(ValueError, match="level must be inside"):
             BacktestConfig(level=1.5)
         with pytest.raises(ValueError, match="deadband_rule must be >= 0"):

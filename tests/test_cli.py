@@ -1,4 +1,5 @@
 """Command-line entry points: outputs, exit codes, and atomicity."""
+import errno
 import os
 import platform
 import stat
@@ -371,6 +372,30 @@ class TestErrorHandling:
         assert rc == 2
         assert "error: cannot rename onto" in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_write_exits_2_and_leaves_no_new_file(self, noisy_csv, tmp_path, capsys,
+                                                          monkeypatch):
+        real_fdopen = os.fdopen
+        opened = []
+
+        def fdopen(fd, *args, **kwargs):
+            handle = real_fdopen(fd, *args, **kwargs)
+            opened.append(fd)
+            if len(opened) == 2:  # the second output file: the disk is full
+                def write(text):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                handle.write = write
+            return handle
+
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("an earlier file\n")
+        monkeypatch.setattr(os, "fdopen", fdopen)
+        rc = main(["decompose", "--input", str(noisy_csv), "--out-dir", str(out)])
+        assert rc == 2
+        assert len(opened) == 2
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["keep.txt"]
 
     def test_horizons_that_are_not_integers_exit_2(self, noisy_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -42,17 +42,21 @@ def fluctuations(draw):
 
 
 class TestSlidingTrend:
-    def test_reconstruction_is_exact(self):
-        rng = np.random.default_rng(77)
-        for _ in range(100):
-            values = rng.uniform(50.0, 150.0, 60)
-            dec = sliding_trend(PriceSeries("s", values), BANK)
-            src = values[BANK.spec.window - 1 :]
-            # fluctuation is the correctly rounded difference, bit for bit
-            np.testing.assert_array_equal(dec.fluctuation, src - dec.trend)
-            # so the sum misses the source by at most that one rounding
-            gap = np.abs((dec.trend + dec.fluctuation) - src)
-            assert np.all(gap <= np.spacing(src))
+    @settings(max_examples=200, deadline=None)
+    @given(level=st.floats(1e-6, 1e12),
+           moves=st.lists(st.floats(0.0, 1.0), min_size=BANK.spec.window, max_size=200))
+    def test_reconstruction_is_exact(self, level, moves):
+        # prices in level * [1, 1 + 1 / (2 sum|w|)] keep the trend within
+        # level / 2 of every source sample, so source - trend is smaller
+        # than the source and rounds no coarser than it
+        values = level * (1.0 + np.array(moves) / (2.0 * np.abs(BANK.weights[0]).sum()))
+        dec = sliding_trend(PriceSeries("s", values), BANK)
+        src = values[BANK.spec.window - 1 :]
+        # fluctuation is the correctly rounded difference, bit for bit
+        np.testing.assert_array_equal(dec.fluctuation, src - dec.trend)
+        # so the sum misses the source by at most that one rounding
+        gap = np.abs((dec.trend + dec.fluctuation) - src)
+        assert np.all(gap <= np.spacing(src))
 
     def test_alignment_and_length(self):
         values = np.linspace(100.0, 120.0, 50)

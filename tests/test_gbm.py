@@ -57,6 +57,11 @@ class TestGbmParams:
             GbmParams(mu=0.0, sigma=0.1, steps=0)
         with pytest.raises(ValueError, match="paths must be an integer >= 1"):
             GbmParams(mu=0.0, sigma=0.1, paths=0)
+        for flag in (True, False):  # bool is an int subclass, but not a count
+            with pytest.raises(ValueError, match=f"steps must be an integer >= 1, got {flag}$"):
+                GbmParams(mu=0.0, sigma=0.1, steps=flag)
+            with pytest.raises(ValueError, match=f"paths must be an integer >= 1, got {flag}$"):
+                GbmParams(mu=0.0, sigma=0.1, paths=flag)
         # finite inputs whose step terms or mean trend overflow a double
         step = r"per-step log drift .* must be finite, got mu=0\.05, sigma=1e\+200, dt=0\.1$"
         with pytest.raises(ValueError, match=step):
@@ -74,7 +79,7 @@ class TestGbmParams:
         # a mean trend near the float maximum passes, and a vanishing one is finite
         GbmParams(mu=709.0, sigma=0.2, steps=10)
         GbmParams(mu=-1e300, sigma=0.2, steps=10)
-        for seed in (-1, 1.5, "3"):
+        for seed in (-1, 1.5, "3", True, False):
             with pytest.raises(ValueError, match=f"seed must be None or an integer >= 0, got {seed!r}$"):
                 GbmParams(mu=0.0, sigma=0.1, seed=seed)
         for seed in (None, 0, 2**128):
@@ -126,10 +131,11 @@ class TestSimulatePaths:
 class TestThreadSplit:
     @settings(max_examples=100, deadline=None)
     @given(paths=st.integers(1, 30), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-           cpus=st.integers(1, 8), chunk=st.integers(1, 200),
+           cpus=st.integers(1, 8), chunk=st.integers(1, 200), stage=st.integers(1, 200),
            sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
            epsilon=st.sampled_from([0.001, 0.01, 0.05]))
-    def test_any_split_equals_the_serial_stream(self, paths, steps, seed, cpus, chunk, sigma, epsilon):
+    def test_any_split_equals_the_serial_stream(self, paths, steps, seed, cpus, chunk, stage, sigma,
+                                                epsilon):
         params = GbmParams(mu=0.05, sigma=sigma, steps=steps, paths=paths, seed=seed)
         want = serial_ensemble(params)
         t = params.grid()
@@ -139,9 +145,11 @@ class TestThreadSplit:
         want_stat = ResidualStat(epsilon=epsilon, p_hat=p_hat, paths=paths,
                                  stderr=math.sqrt(p_hat * (1.0 - p_hat) / paths))
         # one-row spans, so small ensembles split too and paths can fall
-        # below the CPU count; hypothesis rejects the monkeypatch fixture
+        # below the CPU count; stage groups of any size split the blocks,
+        # with a tail; hypothesis rejects the monkeypatch fixture
         with patch.object(spans, "_cpu_count", lambda: cpus), \
-                patch.object(gbm, "_SPAN_VALUES", 1), patch.object(gbm, "_CHUNK_VALUES", chunk):
+                patch.object(gbm, "_SPAN_VALUES", 1), patch.object(gbm, "_CHUNK_VALUES", chunk), \
+                patch.object(gbm, "_STAGE_VALUES", stage):
             np.testing.assert_array_equal(simulate_paths(params), want)
             assert oscillation_probability(params, epsilon) == want_stat
 
@@ -195,8 +203,10 @@ def traced_peak(run):
 
 
 class TestScratchBound:
-    """Block scratch is capped by _CHUNK_VALUES normals across all threads,
-    whatever the ensemble size; the bounds follow the constant."""
+    """Scratch is capped whatever the ensemble size: simulate_paths keeps one
+    stage of _STAGE_VALUES normals per span beside its result, and
+    oscillation_probability blocks of _CHUNK_VALUES across all threads; the
+    bounds follow the constants."""
 
     def setup_method(self):
         # scipy.special is imported on the first draw; keep it out of the peaks
@@ -210,7 +220,8 @@ class TestScratchBound:
     def test_simulate_paths(self):
         params = GbmParams(mu=0.05, sigma=0.2, steps=1000, paths=2_000, seed=0)
         peak, paths = traced_peak(lambda: simulate_paths(params))
-        assert peak <= paths.nbytes + 8 * gbm._CHUNK_VALUES + MiB
+        n_spans = len(spans.split_rows(params.paths, -(-gbm._SPAN_VALUES // params.steps)))
+        assert peak <= paths.nbytes + n_spans * 8 * gbm._STAGE_VALUES + MiB
 
 
 class TestResidualIntegral:

@@ -32,10 +32,16 @@ class TestEstimatorSpec:
             EstimatorSpec(degree=-1)
         with pytest.raises(ValueError, match="degree must be a non-negative integer"):
             EstimatorSpec(degree=1.5)
+        for flag in (True, False):  # bool is an int subclass, but not a count
+            with pytest.raises(ValueError, match=f"degree must be a non-negative integer, got {flag}$"):
+                EstimatorSpec(degree=flag, window=21)
 
     def test_window_must_exceed_degree_plus_one(self):
         with pytest.raises(ValueError, match="underdetermined"):
             EstimatorSpec(degree=2, window=3)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"underdetermined: window must exceed degree \\+ 1, got window={flag} "):
+                EstimatorSpec(degree=0, window=flag)
         EstimatorSpec(degree=2, window=4)  # smallest admissible
 
     def test_spacing_must_be_positive(self):
@@ -46,6 +52,9 @@ class TestEstimatorSpec:
     def test_smoothing_must_be_positive_integer(self):
         with pytest.raises(ValueError, match="smoothing must be an integer >= 1"):
             EstimatorSpec(smoothing=0)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"smoothing must be an integer >= 1, got {flag}$"):
+                EstimatorSpec(smoothing=flag)
 
 
 class TestDensityPolynomials:
@@ -133,6 +142,27 @@ class TestExactness:
                         f"N={degree} W={window} kappa={smoothing} dt={spacing} "
                         f"d={d} order={order}: {got} != {want}"
                     )
+
+    @settings(max_examples=200, deadline=None)
+    @given(degree=st.integers(0, 4), extra=st.integers(0, 38), smoothing=st.integers(1, 4),
+           spacing=st.floats(0.25, 4.0), data=st.data())
+    def test_slide_reproduces_polynomials_at_every_order(self, degree, extra, smoothing, spacing, data):
+        spec = EstimatorSpec(degree=degree, window=degree + 2 + extra, spacing=spacing,
+                             smoothing=smoothing)
+        bank = build_kernel_bank(spec)
+        d = data.draw(st.integers(0, degree), label="d")
+        poly = np.polynomial.Polynomial(
+            data.draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1), label="coef"))
+        n = spec.window + data.draw(st.integers(0, 10), label="extra samples")
+        # the polynomial is in u = t / (W dt), so the samples stay O(1)
+        scale = spec.window * spacing
+        t = (np.arange(n) - (n - 1)) * spacing
+        for order in range(degree + 1):
+            want = poly.deriv(order)(t[spec.window - 1 :] / scale) / scale**order
+            got = bank.slide(poly(t / scale), order)
+            assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))), (
+                f"N={degree} W={spec.window} kappa={smoothing} dt={spacing} d={d} order={order}"
+            )
 
     def test_nan_weights_fail_the_exactness_check(self):
         bank = build_kernel_bank(EstimatorSpec(degree=1, window=3))

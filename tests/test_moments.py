@@ -50,6 +50,11 @@ class TestRollingCentralMoment:
             rolling_central_moment(fluct, 1, 5)
         with pytest.raises(ValueError, match="M must be an integer >= 1"):
             rolling_central_moment(fluct, 2, 0)
+        for flag in (True, False):  # bool is an int subclass, but not a count
+            with pytest.raises(ValueError, match=f"k must be an integer >= 2, got {flag}$"):
+                rolling_central_moment(fluct, flag, 5)
+            with pytest.raises(ValueError, match=f"M must be an integer >= 1, got {flag}$"):
+                rolling_central_moment(fluct, 2, flag)
         with pytest.raises(ValueError, match="need at least M\\+1 = 21 samples"):
             rolling_central_moment(fluct, 2, 20)
 
@@ -181,6 +186,9 @@ class TestMomentTracks:
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="M must be an integer >= 1"):
             moment_tracks(np.zeros(30), M=0)
+        for flag in (True, False):
+            with pytest.raises(ValueError, match=f"M must be an integer >= 1, got {flag}$"):
+                moment_tracks(np.zeros(30), M=flag)
         with pytest.raises(ValueError, match="need at least M\\+1 = 101 samples"):
             moment_tracks(np.zeros(100), M=100)
 

@@ -164,6 +164,13 @@ class TestLoadPrices:
         with pytest.raises(ValueError, match=r"row 3: unparsable date"):
             load_prices(str(path))
 
+    def test_year_zero_rejected(self, tmp_path):
+        # matches the YYYY-MM-DD grammar, but the calendar starts at year 1
+        path = tmp_path / "bad.csv"
+        path.write_text("Date,Close\n0000-01-01,10\n2021-01-02,11\n")
+        with pytest.raises(ValueError, match=r"row 2: unparsable date '0000-01-01'$"):
+            load_prices(str(path))
+
     def test_unparsable_price_rejected_with_row_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("Date,Close\n2021-01-01,ten\n2021-01-02,11\n")
