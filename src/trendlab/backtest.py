@@ -13,7 +13,7 @@ are aggregated per horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +49,8 @@ class BacktestConfig:
             raise ValueError(f"level must be inside (0, 1), got {self.level!r}")
         if not self.deadband_rule >= 0:
             raise ValueError(f"deadband_rule must be >= 0, got {self.deadband_rule!r}")
+        if self.deadband_rule == inf:
+            raise ValueError(f"deadband_rule must be finite, got {self.deadband_rule!r}")
 
     def min_samples(self) -> int:
         """Smallest series length with a scorable origin at every horizon."""

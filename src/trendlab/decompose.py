@@ -147,9 +147,12 @@ def oscillation_score(
 
 
 def oscillation_verdict(value: float, threshold: float) -> str:
-    """quickly_fluctuating iff value <= threshold; rejects a threshold not >= 0."""
+    """quickly_fluctuating iff value <= threshold; rejects a threshold not
+    >= 0 or not finite."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
+    if threshold == np.inf:
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     return QUICKLY_FLUCTUATING if value <= threshold else NOT_QUICKLY_FLUCTUATING
 
 

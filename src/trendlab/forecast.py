@@ -221,6 +221,8 @@ def forecast_point(
         raise ValueError("slow and fast decompositions must share one source series")
     if not deadband_mult >= 0:
         raise ValueError(f"deadband_mult must be >= 0, got {deadband_mult!r}")
+    if deadband_mult == math.inf:
+        raise ValueError(f"deadband_mult must be finite, got {deadband_mult!r}")
     track_pos = t - slow.warmup - (len(slow) - len(std))
     std_hat = _filter_extrapolate(slow.bank, std, track_pos, h, floor=0.0)
     trend_hat = forecast_trend(slow, t, h)

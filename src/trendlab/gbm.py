@@ -265,10 +265,12 @@ def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
     residual_integral over every row of simulate_paths, for the same seed.
 
     Raises:
-        ValueError: epsilon <= 0.
+        ValueError: epsilon <= 0 or not finite.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if epsilon == inf:
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
 
     def count(rng: np.random.Generator, span: range, block: np.ndarray, terms: np.ndarray) -> int:
         exceed = 0

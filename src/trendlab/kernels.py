@@ -163,7 +163,6 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     """
     n, w = spec.degree, spec.window
     dt = spec.spacing
-    qs = _density_polynomials(n, spec.smoothing)
 
     horizon = (w - 1) * dt
     u = (w - 1 - np.arange(w)) / (w - 1)  # u_j pairs offset tau_j with window time
@@ -181,6 +180,8 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
             f"window {w}"
         )
 
+    # the exact solve grows fast with the degree: only for a spec that passed
+    qs = _density_polynomials(n, spec.smoothing)
     weights = []
     for v in range(n + 1):
         coeffs = np.array([float(c) for c in qs[v]])

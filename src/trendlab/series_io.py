@@ -8,6 +8,17 @@ Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
 are not interpolated, each row is one step of the uniform trading-day
 grid, whose interval is kernels.EstimatorSpec.spacing.
 
+A file is checked a column at a time. Text with no quote character and no
+carriage return splits on newlines and the delimiter, one block of lines
+at a time; any other text goes through the csv module's reader, the one
+tokenizer that reads quoted cells and CR line ends. Either feeds the
+same checks on the date and price columns as wholes. The per-row loop
+runs only when one of them fails, to name the first faulty row with its
+message. Beside the series it returns, a load of plain text holds at most
+2 bytes of scratch per byte of the file (its bytes and its text while
+decoding) plus 8 bytes per character of one block (_BLOCK_CHARS); the
+csv reader adds its copy of the text at 4 bytes a character.
+
 Every output is written by one of two writers here: emit_table for
 comma-separated tables (header row, numbers as their repr, so floats
 round-trip exactly, and an empty cell for a missing value) and emit_kv
@@ -22,12 +33,19 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date
+from itertools import chain, islice
+from operator import itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+# rows tokenized at once: a block of plain text splits at the first line end
+# past _BLOCK_CHARS characters, one of the csv reader holds _BLOCK_ROWS rows
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -102,62 +120,146 @@ def _read_text(path: str) -> str:
     return text
 
 
-def load_prices(
-    path: str,
-    date_col: str = "Date",
-    price_col: str = "Close",
-    delimiter: str = ",",
-    name: Optional[str] = None,
-) -> PriceSeries:
-    """Read a delimiter-separated price file.
+def _column_indices(path: str, header: Optional[list[str]], date_col: str,
+                    price_col: str) -> tuple[int, int]:
+    """Indices of the date and price columns in the header row."""
+    if header is None:
+        raise ValueError(f"{path}: empty file, expected a header row")
+    fields = [f.strip() for f in header]
+    if date_col not in fields or price_col not in fields:
+        raise ValueError(
+            f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
+        )
+    for col in (date_col, price_col):
+        if fields.count(col) > 1:
+            raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
+    return fields.index(date_col), fields.index(price_col)
 
-    The file is UTF-8 text; a leading byte-order mark is dropped. A byte
-    that is not UTF-8, or a NUL byte anywhere, rejects the whole file
-    before any row is read, named by its line number in the file. Header
-    names and date and price cells are stripped of whitespace, and dates
-    are kept as read. A price is an ASCII decimal literal: float() reads
-    it, and it has no underscore and no non-ASCII digit. Blank lines are
-    skipped and not counted: the header is row 1 and data rows are
-    numbered from 2. A malformed line (a field over the csv module's size
-    limit) is named by its line number in the file instead.
 
-    Args:
-        path: file location.
-        date_col: header name of the date column.
-        price_col: header name of the price column.
-        delimiter: field separator.
-        name: series label; defaults to the file's base name without its
-            extension, which the CLI also uses as its output file stem.
+def _pick(rows: Iterable[list[str]], di: int, pi: int) -> Optional[tuple[list, list]]:
+    """The date and price cells of rows, or None when a row lacks either."""
+    try:
+        cells = list(chain.from_iterable(map(itemgetter(di, pi), rows)))
+    except IndexError:
+        return None
+    return cells[0::2], cells[1::2]
 
-    Returns:
-        PriceSeries on the uniform trading-day grid, row order preserved.
 
-    Raises:
-        ValueError: bytes that are not UTF-8 text or a NUL byte, missing
-            or repeated columns, unparsable rows, non-finite or
-            non-positive prices, or non-monotone dates, with the
-            offending line or row number.
-    """
-    text = _read_text(path)
-    # float() reads, beyond ASCII decimal literals, only underscores
-    # between digits and non-ASCII digits: neither occurs in such a text
+def _plain_blocks(text: str, start: int, delimiter: str, di: int, pi: int):
+    """Yield the date and price cells of the rows of plain text from index
+    start on, one block of about _BLOCK_CHARS characters at a time, and
+    None for a block with a row that lacks either cell or a field longer
+    than the csv reader takes."""
+    limit = csv.field_size_limit()
+    while start < len(text):
+        stop = text.find("\n", start + _BLOCK_CHARS)
+        if stop < 0:
+            stop = len(text)
+        block = text[start:stop].strip("\n")
+        start = stop + 1
+        if not block:
+            continue
+        # one split: each line's last cell keeps its newline, so the lines
+        # all have one width when the newlines all fall in every width-th
+        # cell; a float and a stripped date ignore the newline
+        lines = block.count("\n") + 1
+        cells = block.replace("\n", "\n" + delimiter).split(delimiter)
+        width, rest = divmod(len(cells), lines)
+        if rest == 0 and "".join(cells[width - 1::width]).count("\n") == lines - 1:
+            column = None if max(di, pi) >= width else (cells[di::width], cells[pi::width])
+        else:  # rows of several widths, or blank lines, which are skipped
+            rows = map(methodcaller("split", delimiter), filter(None, block.split("\n")))
+            column = _pick(rows, di, pi)
+        if len(block) > limit and max(map(len, cells)) > limit:
+            column = None
+        yield column
+
+
+def _csv_blocks(reader, di: int, pi: int):
+    """Yield the date and price cells of the reader's rows, _BLOCK_ROWS at a
+    time, and None for a block with a row that lacks either cell."""
+    rows = filter(None, reader)  # blank lines are skipped
+    while True:
+        column = _pick(islice(rows, _BLOCK_ROWS), di, pi)
+        if column is not None and not column[0]:
+            return
+        yield column
+
+
+def _increasing_days(cells: list[str]) -> bool:
+    """Whether cells are ASCII YYYY-MM-DD dates of real calendar days from
+    year 1 on, in strictly increasing order."""
+    n = len(cells)
+    # NULs between the cells, which hold none (the text has none): with one
+    # in every 11th byte and ASCII digits and dashes in all the others,
+    # each cell is ten ASCII characters
+    raw = "\0".join(cells).encode()
+    if not (n and len(raw) == 11 * n - 1 and raw[10::11] == b"\0" * (n - 1)
+            and raw[4::11] == raw[7::11] == b"-" * n
+            and all(raw[k::11].isdigit() for k in (0, 1, 2, 3, 5, 6, 8, 9))):
+        return False
+    try:
+        days = np.array(cells, dtype="datetime64[D]").view(np.int64)
+    except ValueError:  # a month or a day out of range
+        return False
+    # in increasing order only the first can be in year 0, which numpy reads
+    return bool((days[1:] > days[:-1]).all()) and not cells[0].startswith("0000")
+
+
+def _column_pass(path: str, text: str, date_col: str, price_col: str,
+                 delimiter: str) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
+    """The dates and prices of text when every column check passes, else
+    None. A header fault raises as in the row loop; a csv.Error escapes."""
+    if '"' in text or "\r" in text:
+        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+        di, pi = _column_indices(path, next(reader, None), date_col, price_col)
+        blocks = _csv_blocks(reader, di, pi)
+    else:
+        csv.reader((), delimiter=delimiter)  # the csv reader's check of the delimiter
+        end = text.find("\n")
+        head = text if end < 0 else text[:end]
+        if len(head) > csv.field_size_limit():
+            return None
+        # as csv.reader: no row in an empty text, an empty row for a blank line
+        header = head.split(delimiter) if head else ([] if text else None)
+        di, pi = _column_indices(path, header, date_col, price_col)
+        blocks = _plain_blocks(text, len(head) + 1, delimiter, di, pi)
+    # float() also reads underscores between digits and non-ASCII digits:
+    # the literals need a look only in a text that has either
+    literals = not text.isascii() or "_" in text
+    dates: list[str] = []
+    floats = [np.empty(0)]
+    for column in blocks:
+        if column is None:
+            return None
+        days, prices = column
+        if literals and ("_" in "".join(prices) or not "".join(map(str.strip, prices)).isascii()):
+            return None
+        try:
+            floats.append(np.fromiter(map(float, prices), float, len(prices)))
+        except ValueError:
+            return None
+        dates += days
+    values = np.concatenate(floats)
+    if not _increasing_days(dates):
+        dates = [day.strip() for day in dates]  # padded cells, say
+        if not _increasing_days(dates):
+            return None
+    if not (np.isfinite(values).all() and (values > 0).all()):
+        return None
+    return tuple(dates), values
+
+
+def _row_pass(path: str, text: str, date_col: str, price_col: str,
+              delimiter: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The dates and prices of text, read and checked one row at a time:
+    the first faulty row, or a malformed line, raises its error."""
     plain = text.isascii() and "_" not in text
     values: list[float] = []
     dates: list[str] = []
     reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
     try:
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        fields = [f.strip() for f in header]
-        if date_col not in fields or price_col not in fields:
-            raise ValueError(
-                f"{path}: missing column(s); have {fields}, need {date_col!r} and {price_col!r}"
-            )
-        for col in (date_col, price_col):
-            if fields.count(col) > 1:
-                raise ValueError(f"{path}: repeated column {col!r} in header {fields}")
-        di, pi = fields.index(date_col), fields.index(price_col)
+        di, pi = _column_indices(path, next(reader, None), date_col, price_col)
         width = max(di, pi) + 1
         for row_no, row in enumerate(filter(None, reader), start=2):  # header is row 1
             row += [None] * (width - len(row))  # a short row reads as missing cells
@@ -184,10 +286,64 @@ def load_prices(
             values.append(price)
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
+    return tuple(dates), np.array(values)
+
+
+def load_prices(
+    path: str,
+    date_col: str = "Date",
+    price_col: str = "Close",
+    delimiter: str = ",",
+    name: Optional[str] = None,
+) -> PriceSeries:
+    """Read a delimiter-separated price file.
+
+    The file is UTF-8 text; a leading byte-order mark is dropped. A byte
+    that is not UTF-8, or a NUL byte anywhere, rejects the whole file
+    before any row is read, named by its line number in the file. Header
+    names and date and price cells are stripped of whitespace, and dates
+    are kept as read. A price is an ASCII decimal literal: float() reads
+    it, and it has no underscore and no non-ASCII digit. Blank lines are
+    skipped and not counted: the header is row 1 and data rows are
+    numbered from 2. A malformed line (a field over the csv module's size
+    limit) is named by its line number in the file instead.
+
+    Plain text, with no quote character and no carriage return, is split
+    on newlines and the delimiter; other text is read by csv.reader. The
+    date and price columns are then checked whole: the date grammar, the
+    calendar and the date order, then float() over the prices and their
+    finiteness and sign. Only when a check fails does the row loop read
+    the text again, to raise the first faulty row's error. Beside the
+    series, plain text takes about two bytes of scratch per byte of the
+    file plus one block of lines; see the module docstring.
+
+    Args:
+        path: file location.
+        date_col: header name of the date column.
+        price_col: header name of the price column.
+        delimiter: field separator.
+        name: series label; defaults to the file's base name without its
+            extension, which the CLI also uses as its output file stem.
+
+    Returns:
+        PriceSeries on the uniform trading-day grid, row order preserved.
+
+    Raises:
+        ValueError: bytes that are not UTF-8 text or a NUL byte, missing
+            or repeated columns, unparsable rows, non-finite or
+            non-positive prices, or non-monotone dates, with the
+            offending line or row number.
+    """
+    text = _read_text(path)
+    try:
+        columns = _column_pass(path, text, date_col, price_col, delimiter)
+    except csv.Error:  # the row loop names its line, after any faulty row before it
+        columns = None
+    dates, values = columns or _row_pass(path, text, date_col, price_col, delimiter)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")
     label = name if name is not None else os.path.splitext(os.path.basename(path))[0]
-    return PriceSeries(name=label, values=np.array(values), dates=tuple(dates))
+    return PriceSeries(name=label, values=values, dates=dates)
 
 
 def date_labels(dates: Optional[Sequence[str]], start: int, stop: int) -> Sequence[str]:

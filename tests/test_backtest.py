@@ -120,6 +120,8 @@ class TestBacktestConfig:
             BacktestConfig(deadband_rule=-1.0)
         with pytest.raises(ValueError, match="deadband_rule must be >= 0, got nan"):
             BacktestConfig(deadband_rule=float("nan"))
+        with pytest.raises(ValueError, match="deadband_rule must be finite, got inf$"):
+            BacktestConfig(deadband_rule=float("inf"))
 
 
 class TestScorePositions:

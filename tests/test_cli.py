@@ -79,6 +79,18 @@ class TestDecompose:
         assert len(lines) == 1 + 300 - 10
         assert lines[1].split(",")[0] == "10"
 
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "threshold must be finite, got inf"),
+        ("nan", "threshold must be >= 0, got nan"),
+        ("-1", "threshold must be >= 0, got -1.0"),
+    ])
+    def test_invalid_threshold_exits_2(self, noisy_csv, tmp_path, capsys, value, message):
+        rc = main(["decompose", "--input", str(noisy_csv), "--oscillation-threshold", value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob("prices_*")) == []
+
 
 class TestMoments:
     def test_moments_csv(self, noisy_csv, tmp_path):
@@ -152,6 +164,7 @@ class TestForecastAndBacktestShareTheConfigChecks:
             (["--horizons", "1,1"], "horizons must be distinct, got (1, 1)"),
             (["--deadband-mult", "-1"], "deadband_rule must be >= 0, got -1.0"),
             (["--deadband-mult", "nan"], "deadband_rule must be >= 0, got nan"),
+            (["--deadband-mult", "inf"], "deadband_rule must be finite, got inf"),
             (["--level", "1.5"], "level must be inside (0, 1), got 1.5"),
             (["--moment-window", "0"], "M must be an integer >= 1, got 0"),
         ],
@@ -220,6 +233,9 @@ class TestGbm:
             (["--s0", "inf"], "s0 must be positive and finite, got inf"),
             (["--t-end", "inf"], "t_end must be positive and finite, got inf"),
             (["--oscillation-threshold", "nan"], "threshold must be >= 0, got nan"),
+            (["--oscillation-threshold", "inf"], "threshold must be finite, got inf"),
+            (["--epsilon", "inf"], "epsilon must be finite, got inf"),
+            (["--epsilon", "nan"], "epsilon must be positive, got nan"),
             (["--sigma", "1e200"], "per-step log drift (mu - sigma**2 / 2) * dt and scale "
              "sigma * sqrt(dt) must be finite, got mu=0.05, sigma=1e+200, dt=0.1"),
             (["--mu", "1e300"], "mean trend s0 * exp(mu * t_end) must be finite, got "

@@ -183,6 +183,8 @@ class TestOscillationScore:
         for threshold in (float("nan"), -1.0):
             with pytest.raises(ValueError, match=f"threshold must be >= 0, got {threshold!r}"):
                 oscillation_score(np.zeros(5), min_window=2, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold must be finite, got inf$"):
+            oscillation_score(np.zeros(5), min_window=2, threshold=float("inf"))
 
 
 class TestEmitDecomposition:

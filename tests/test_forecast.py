@@ -284,3 +284,5 @@ class TestForecastPoint:
             forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=-0.1)
         with pytest.raises(ValueError, match="deadband_mult must be >= 0, got nan"):
             forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("nan"))
+        with pytest.raises(ValueError, match="deadband_mult must be finite, got inf$"):
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("inf"))

@@ -290,6 +290,8 @@ class TestOscillationProbability:
         params = GbmParams(mu=0.05, sigma=0.2, steps=10, paths=10, seed=0)
         with pytest.raises(ValueError, match="epsilon must be positive"):
             oscillation_probability(params, epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be finite, got inf$"):
+            oscillation_probability(params, epsilon=float("inf"))
 
     def test_normal_source_is_documented(self):
         assert NORMAL_SOURCE == "pcg64-inverse-transform-ndtri"

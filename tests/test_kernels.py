@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendlab.kernels as kernels
 from trendlab.kernels import (
     EstimatorSpec,
     KernelBank,
@@ -240,6 +241,19 @@ class TestConditioning:
     def test_ill_conditioned_build_rejected(self):
         with pytest.raises(ValueError, match="ill-conditioned"):
             build_kernel_bank(EstimatorSpec(degree=15, window=17))
+
+    @pytest.mark.parametrize("degree, window", [(15, 17), (40, 70)])
+    def test_rejected_before_the_exact_solve(self, monkeypatch, degree, window):
+        # the condition check needs only N and W; the exact rational solve,
+        # whose cost grows fast with N, is left for a spec that passes it
+        def solve(*args):
+            raise AssertionError("_density_polynomials called for a rejected spec")
+
+        monkeypatch.setattr(kernels, "_density_polynomials", solve)
+        message = (rf"^exactness system too ill-conditioned \(cond [^)]+\) for degree {degree}, "
+                   rf"window {window}$")
+        with pytest.raises(ValueError, match=message):
+            build_kernel_bank(EstimatorSpec(degree=degree, window=window))
 
     def test_moderately_high_degree_still_builds(self):
         bank = build_kernel_bank(EstimatorSpec(degree=12, window=14))

@@ -5,6 +5,7 @@ import io
 import math
 import re
 import tempfile
+import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendlab.series_io as series_io
 from conftest import write_price_csv
 from trendlab.series_io import PriceSeries, date_labels, dump_prices, load_prices
 
@@ -311,6 +313,60 @@ class TestLoadPrices:
         path.write_text("Date,Close\n2020-01-01,1_0\n2020-01-02,1\x002\n")
         with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 3: line contains NUL$"):
             load_prices(str(path))
+
+
+def _variant(text, variant):
+    """text, a Date,Close file, written another way that reads the same."""
+    lines = text.split("\n")
+    if variant == "crlf":
+        return text.replace("\n", "\r\n")
+    if variant == "quoted":
+        return "\n".join(",".join(f'"{c}"' for c in line.split(",")) if line else "" for line in lines)
+    if variant == "bom":
+        return "\ufeff" + text
+    if variant == "padded":
+        return "\n".join(",".join(f" {c}\t" for c in line.split(",")) if line else "" for line in lines)
+    if variant == "blank lines":
+        return "\n\n".join(lines)
+    if variant == "volume in some rows":
+        return "\n".join(line + (",7" if k % 3 == 0 else "") if line else "" for k, line in enumerate(lines))
+    if variant == "date last":
+        return "\n".join(",".join(line.split(",")[::-1]) for line in lines)
+    raise AssertionError(variant)
+
+
+class TestColumnPass:
+    @pytest.mark.parametrize("variant", [
+        None, "crlf", "quoted", "bom", "padded", "blank lines", "volume in some rows", "date last",
+    ])
+    def test_row_loop_runs_only_on_failure(self, tmp_path, monkeypatch, variant):
+        # 3,000 rows span several blocks of plain text and of csv rows
+        path = write_price_csv(tmp_path / "prices.csv", np.random.default_rng(8).uniform(1, 99, 3000))
+        want = load_prices(str(path))
+        if variant is not None:
+            path.write_bytes(_variant(path.read_text(), variant).encode())
+
+        def row_pass(*args):
+            raise AssertionError("row loop entered for a well-formed file")
+
+        monkeypatch.setattr(series_io, "_row_pass", row_pass)
+        got = load_prices(str(path))
+        assert (got.name, got.values.tobytes(), got.dates) == (want.name, want.values.tobytes(), want.dates)
+
+    def test_scratch_is_bounded_by_the_file_and_one_block(self, tmp_path):
+        # beside the series it returns, a load of plain text holds the
+        # file's bytes and its text, then the text, one block's cells and
+        # the column arrays
+        path = write_price_csv(tmp_path / "long.csv", np.random.default_rng(9).uniform(1, 99, 20_000))
+        load_prices(str(path))  # imports and caches stay out of the peak
+        tracemalloc.start()
+        try:
+            series = load_prices(str(path))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 20_000
+        assert peak - kept <= 2 * path.stat().st_size + 8 * series_io._BLOCK_CHARS
 
 
 class TestDumpPrices:
