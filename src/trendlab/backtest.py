@@ -99,10 +99,11 @@ def score_positions(
     if len(predictions) == 0:
         raise ValueError("nothing to score")
     pred, real = np.asarray(predictions), np.asarray(realized)
-    bad = ~np.isin(real, (fc.ABOVE, fc.UNDER))
+    # == masks: np.isin would sort both string arrays
+    bad = (real != fc.ABOVE) & (real != fc.UNDER)
     if bad.any():
         raise ValueError(f"realized positions must be above/under, got {real[bad].tolist()[0]!r}")
-    decided = np.isin(pred, (fc.ABOVE, fc.UNDER))
+    decided = (pred == fc.ABOVE) | (pred == fc.UNDER)
     undecided = pred == fc.NO_DECISION
     bad = ~(decided | undecided)
     if bad.any():
@@ -183,6 +184,8 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
                 skipped=skipped,
             )
         )
+        # one horizon's arrays at a time: the next forecast_point runs without these
+        del point, target, realized, stds
     return BacktestReport(
         series_name=series.name,
         samples=n,

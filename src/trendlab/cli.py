@@ -25,7 +25,9 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
-from .decompose import emit_decomposition, oscillation_score, oscillation_verdict, sliding_trend
+from .decompose import (
+    check_threshold, emit_decomposition, oscillation_score, oscillation_verdict, sliding_trend,
+)
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
@@ -105,6 +107,7 @@ def _config(args: argparse.Namespace) -> BacktestConfig:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> list[str]:
+    check_threshold(args.oscillation_threshold)  # before the load, the slide and the scan
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     bank = build_kernel_bank(_slow_spec(args))
     dec = sliding_trend(series, bank)
@@ -175,6 +178,7 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         mu=args.mu, sigma=args.sigma, s0=args.s0, t_end=args.t_end,
         steps=args.steps, paths=args.paths, seed=args.seed,
     )
+    check_threshold(args.oscillation_threshold)  # before the ensemble runs
     stat = oscillation_probability(params, args.epsilon)
     kv = emit_kv([
         ("mu", params.mu),

@@ -146,13 +146,18 @@ def oscillation_score(
     )
 
 
-def oscillation_verdict(value: float, threshold: float) -> str:
-    """quickly_fluctuating iff value <= threshold; rejects a threshold not
-    >= 0 or not finite."""
+def check_threshold(threshold: float) -> None:
+    """Reject a verdict threshold that is not >= 0 or not finite."""
     if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold!r}")
     if threshold == np.inf:
         raise ValueError(f"threshold must be finite, got {threshold!r}")
+
+
+def oscillation_verdict(value: float, threshold: float) -> str:
+    """quickly_fluctuating iff value <= threshold; rejects a threshold not
+    >= 0 or not finite."""
+    check_threshold(threshold)
     return QUICKLY_FLUCTUATING if value <= threshold else NOT_QUICKLY_FLUCTUATING
 
 

@@ -184,8 +184,12 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     qs = _density_polynomials(n, spec.smoothing)
     weights = []
     for v in range(n + 1):
-        coeffs = np.array([float(c) for c in qs[v]])
-        density = np.polynomial.polynomial.polyval(u, coeffs)
+        # Horner's rule in the order numpy.polynomial's polyval runs it,
+        # without importing that package
+        coeffs = [float(c) for c in qs[v]]
+        density = coeffs[-1] + u * 0
+        for c in reversed(coeffs[:-1]):
+            density = c + density * u
         raw = ((-1.0) ** v) * density * du / horizon**v
         rhs = np.zeros(n + 1)
         rhs[v] = factorial(v) / horizon**v

@@ -122,9 +122,8 @@ def emit_moments(track: MomentTrack, dates: tuple[str, ...] | None = None, offse
             when the fluctuation came from a decomposition).
     """
     lo = track.warmup + offset
-    undefined = ~track.defined
     return emit_table(
         ("index", "date", "std", "skew", "kurt"),
         (np.arange(lo, lo + len(track)), date_labels(dates, lo, lo + len(track)), track.std,
-         np.ma.masked_array(track.skew, undefined), np.ma.masked_array(track.kurt, undefined)),
+         (track.skew, track.defined), (track.kurt, track.defined)),
     )

@@ -22,7 +22,10 @@ csv reader adds its copy of the text at 4 bytes a character.
 Every output is written by one of two writers here: emit_table for
 comma-separated tables (header row, numbers as their repr, so floats
 round-trip exactly, and an empty cell for a missing value) and emit_kv
-for flat key=value summaries.
+for flat key=value summaries. A column with missing values is a plain
+(values, defined) pair of arrays, so no caller needs numpy.ma. emit_table
+formats _EMIT_ROWS rows at a time, so emission holds the cells of one
+block of rows beside the text, never those of the whole table.
 """
 from __future__ import annotations
 
@@ -46,6 +49,8 @@ _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # past _BLOCK_CHARS characters, one of the csv reader holds _BLOCK_ROWS rows
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 11
+# table rows whose cells emit_table holds as strings at once
+_EMIT_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -354,33 +359,50 @@ def date_labels(dates: Optional[Sequence[str]], start: int, stop: int) -> Sequen
     return list(map(str, range(start, stop)))
 
 
-def _cells(column) -> Sequence[str]:
-    if isinstance(column, np.ma.MaskedArray):
-        masked = np.ma.getmaskarray(column).tolist()
-        return ["" if m else repr(v) for v, m in zip(column.data.tolist(), masked)]
+def _is_pair(column) -> bool:
+    """Whether column is a (values, defined) pair rather than a sequence
+    of strings, which never holds an array."""
+    return isinstance(column, tuple) and len(column) == 2 and isinstance(column[1], np.ndarray)
+
+
+def _cells(column, lo: int, hi: int) -> Sequence[str]:
+    """The cells of rows lo..hi-1 of one emit_table column."""
+    if column is None:
+        return [""] * (hi - lo)
+    if _is_pair(column):
+        values, defined = column
+        return [repr(v) if d else "" for v, d in zip(values[lo:hi].tolist(), defined[lo:hi].tolist())]
     if isinstance(column, np.ndarray):
-        values = column.tolist()
+        values = column[lo:hi].tolist()
         return values if column.dtype.kind == "U" else list(map(repr, values))
-    return column
+    return column[lo:hi]
 
 
 def emit_table(header: Sequence[str], columns: Sequence) -> str:
     """Comma-separated text: the header row, then one row per column entry.
 
     A numpy column is written as the repr of each .tolist() value (string
-    arrays as they are), masked entries of a masked array as empty cells,
-    and a None column as empty cells throughout. Any other column is a
-    sequence of strings written as they are.
+    arrays as they are), and a None column as empty cells throughout. A
+    column with missing values is a (values, defined) pair of equal-length
+    arrays: the repr of each value where defined is True, an empty cell
+    where it is False. Any other column is a sequence of strings written
+    as they are. Rows are formatted _EMIT_ROWS at a time: beside the text
+    it returns, emission holds the formatted blocks (the text once more)
+    and the cells of one block of rows, never those of the whole table.
 
     Raises:
         ValueError: columns of different lengths.
     """
-    lengths = {len(c) for c in columns if c is not None}
+    lengths = {len(part) for c in columns if c is not None for part in (c if _is_pair(c) else (c,))}
     if len(lengths) != 1:
         raise ValueError(f"table columns differ in length: {sorted(lengths)}")
     (rows,) = lengths
-    cells = [[""] * rows if c is None else _cells(c) for c in columns]
-    return "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    blocks = [",".join(header)]
+    for lo in range(0, rows, _EMIT_ROWS):
+        cells = [_cells(c, lo, min(lo + _EMIT_ROWS, rows)) for c in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))))
+    blocks.append("")  # the last line end, without a copy of the text to add it
+    return "\n".join(blocks)
 
 
 def emit_kv(pairs: Iterable[tuple[str, object]]) -> str:

@@ -1,4 +1,5 @@
 """Walk-forward evaluation: scoring, tallies, and report emission."""
+import tracemalloc
 from dataclasses import fields, replace
 from math import sqrt
 
@@ -299,6 +300,25 @@ class TestWalkForwardInvariants:
             assert abs(total - 100.0) <= 1e-9
             assert result.origins + result.skipped == n - result.horizon - first_origin(slow_w, M)
         assert report.results == per_origin_walk_forward(series, config)
+
+
+def test_horizons_do_not_add_to_the_peak():
+    # one horizon's forecast and realized arrays are held at a time; at
+    # 20,000 rows they, not the moment threads' scratch, set the peak
+    series = random_walk(20_000, 21)
+
+    def peak(horizons):
+        config = BacktestConfig(horizons=horizons)
+        walk_forward(series, config)  # caches stay out of the peak
+        tracemalloc.start()
+        try:
+            walk_forward(series, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak((1,))
+    assert peak((1, 2, 3, 4, 5)) <= 1.02 * one
 
 
 class TestEmitReport:

@@ -16,6 +16,10 @@ from conftest import write_price_csv
 from trendlab.cli import build_parser, main
 
 
+def never_called(*args, **kwargs):
+    raise AssertionError("ran before the flags were checked")
+
+
 def read_kv(path):
     return dict(
         line.split("=", 1)
@@ -84,7 +88,11 @@ class TestDecompose:
         ("nan", "threshold must be >= 0, got nan"),
         ("-1", "threshold must be >= 0, got -1.0"),
     ])
-    def test_invalid_threshold_exits_2(self, noisy_csv, tmp_path, capsys, value, message):
+    def test_invalid_threshold_exits_2(self, noisy_csv, tmp_path, capsys, monkeypatch, value,
+                                       message):
+        # checked before the bank is built and slid
+        monkeypatch.setattr("trendlab.cli.build_kernel_bank", never_called)
+        monkeypatch.setattr("trendlab.cli.sliding_trend", never_called)
         rc = main(["decompose", "--input", str(noisy_csv), "--oscillation-threshold", value,
                    "--out-dir", str(tmp_path)])
         assert rc == 2
@@ -251,6 +259,19 @@ class TestGbm:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "threshold must be finite, got inf"),
+        ("nan", "threshold must be >= 0, got nan"),
+        ("-1", "threshold must be >= 0, got -1.0"),
+    ])
+    def test_invalid_threshold_exits_2_before_the_ensemble(self, value, message, tmp_path,
+                                                           capsys, monkeypatch):
+        monkeypatch.setattr("trendlab.cli.oscillation_probability", never_called)
+        rc = main(["gbm", "--oscillation-threshold", value, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -281,8 +302,10 @@ def _package_path():
 class TestImportPath:
     def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
         # importing scipy.special takes longer than processing a small
-        # series; only the GBM draw may load it. The moment threads are
-        # plain threading.Thread: concurrent.futures would cost start-up too
+        # series; only the GBM draw may load it. numpy.ma and numpy.polynomial
+        # cost start-up that no series subcommand needs either. The moment
+        # threads are plain threading.Thread: concurrent.futures would cost
+        # start-up too
         script = textwrap.dedent("""
             import sys
             import trendlab, trendlab.cli
@@ -290,6 +313,8 @@ class TestImportPath:
             for cmd in ("decompose", "moments", "forecast", "backtest"):
                 assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
             assert "scipy" not in sys.modules
+            assert "numpy.ma" not in sys.modules
+            assert "numpy.polynomial" not in sys.modules
             assert "concurrent.futures" not in sys.modules
             argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
             assert trendlab.cli.main(argv) == 0

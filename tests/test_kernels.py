@@ -123,6 +123,37 @@ class TestGoldenWeights:
         np.testing.assert_allclose(bank.weights[0], [0.5, 0.5], rtol=0, atol=1e-12)
 
 
+def polyval_weights(spec: EstimatorSpec) -> list[np.ndarray]:
+    """build_kernel_bank's weights with the densities evaluated by
+    numpy.polynomial's polyval, as the bank computed them before."""
+    n, w, dt = spec.degree, spec.window, spec.spacing
+    horizon = (w - 1) * dt
+    u = (w - 1 - np.arange(w)) / (w - 1)
+    a_mat = np.vander((np.arange(w) - (w - 1)) / (w - 1), n + 1, increasing=True)
+    q_fact, r_fact = np.linalg.qr(a_mat)
+    weights = []
+    for v, q in enumerate(_density_polynomials(n, spec.smoothing)):
+        density = np.polynomial.polynomial.polyval(u, np.array([float(c) for c in q]))
+        raw = ((-1.0) ** v) * density * (1.0 / (w - 1)) / horizon**v
+        rhs = np.zeros(n + 1)
+        rhs[v] = math.factorial(v) / horizon**v
+        weights.append(raw - q_fact @ np.linalg.solve(r_fact.T, a_mat.T @ raw - rhs))
+    return weights
+
+
+class TestHornerDensities:
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("smoothing", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    def test_weights_equal_the_polyval_weights(self, degree, smoothing, spacing):
+        # the same Horner recurrence as polyval, so the same bits
+        for window in sorted({degree + 2, 7, 21, 121, 500}):
+            spec = EstimatorSpec(degree=degree, window=window, smoothing=smoothing, spacing=spacing)
+            got = build_kernel_bank(spec).weights
+            for v, want in enumerate(polyval_weights(spec)):
+                assert got[v].tobytes() == want.tobytes(), (spec, v)
+
+
 class TestExactness:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("smoothing", [1, 2, 3])

@@ -5,6 +5,7 @@ per-cell loop its emitter used before, kept verbatim apart from the date
 label rule inlined; the properties require string equality.
 """
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trendlab.series_io as series_io
 from trendlab.cli import main
 from trendlab.decompose import emit_decomposition, sliding_trend
 from trendlab.forecast import first_forecast_origin, forecast_point
@@ -79,6 +81,25 @@ def old_forecast_rows(series, spec, fast_window, M, horizons, level, deadband_mu
         for t, trend_hat, lo, hi, position in zip(*(c.tolist() for c in columns)):
             lines.append(f"{label(series.dates, t)},{h},{trend_hat!r},{lo!r},{hi!r},{position}")
     return "\n".join(lines) + "\n"
+
+
+def unblocked_table(header, columns):
+    """emit_table as it was before it formatted a block of rows at a time,
+    with each (values, defined) pair as the masked array it replaced."""
+    def cells(column):
+        if isinstance(column, np.ma.MaskedArray):
+            masked = np.ma.getmaskarray(column).tolist()
+            return ["" if m else repr(v) for v, m in zip(column.data.tolist(), masked)]
+        if isinstance(column, np.ndarray):
+            values = column.tolist()
+            return values if column.dtype.kind == "U" else list(map(repr, values))
+        return column
+
+    columns = [np.ma.masked_array(c[0], ~c[1]) if isinstance(c, tuple) and len(c) == 2
+               and isinstance(c[1], np.ndarray) else c for c in columns]
+    (rows,) = {len(c) for c in columns if c is not None}
+    table = [[""] * rows if c is None else cells(c) for c in columns]
+    return "\n".join([",".join(header), *map(",".join, zip(*table))]) + "\n"
 
 
 def iso_dates(n):
@@ -176,3 +197,55 @@ def test_forecast_rows_equal_the_cell_loop(degree, slow_extra, fast_extra, M, ho
 def test_columns_of_different_lengths_are_rejected():
     with pytest.raises(ValueError, match=r"table columns differ in length: \[1, 2\]$"):
         emit_table(("a", "b", "c"), (["x"], None, np.array([1.0, 2.0])))
+
+
+@st.composite
+def table_columns(draw, rows):
+    """One emit_table column of rows entries, of any kind it takes."""
+    def entries(elements):
+        return draw(st.lists(elements, min_size=rows, max_size=rows))
+
+    kind = draw(st.sampled_from(["none", "strings", "floats", "ints", "unicode", "pair"]))
+    if kind == "none":
+        return None
+    if kind == "strings":
+        return draw(st.sampled_from([list, tuple]))(entries(st.text(max_size=4)))
+    if kind == "unicode":
+        return np.array(entries(st.text(max_size=4)), dtype=str)
+    if kind == "ints":
+        return np.array(entries(st.integers(-2**40, 2**40)), dtype=np.int64)
+    values = np.array(entries(st.floats()), dtype=float)
+    if kind == "floats":
+        return values
+    return values, np.array(entries(st.booleans()), dtype=bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=st.integers(1, 6), at=st.sampled_from(["0", "1", "B-1", "B", "B+1", "2B+1"]),
+       data=st.data())
+def test_blocked_table_equals_the_unblocked_join(block, at, data):
+    rows = {"0": 0, "1": 1, "B-1": block - 1, "B": block, "B+1": block + 1, "2B+1": 2 * block + 1}[at]
+    columns = data.draw(st.lists(table_columns(rows), min_size=1, max_size=5))
+    columns.append(np.arange(rows))  # one column that has a length
+    header = [f"c{k}" for k in range(len(columns))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_io, "_EMIT_ROWS", block)
+        assert emit_table(header, columns) == unblocked_table(header, columns)
+
+
+def test_table_scratch_is_one_block_of_cells():
+    # every kind of column over 20 blocks: beside the text, the formatted
+    # blocks (the text once more) and the cells of one block of rows
+    rows = 20 * series_io._EMIT_ROWS
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=rows)
+    columns = (iso_dates(rows), np.arange(rows), values, values + 1, values - 1,
+               (values * 2, values > 0), np.where(values > 0, "above", "no_decision"))
+    emit_table(("a",) * len(columns), columns)  # caches stay out of the peak
+    tracemalloc.start()
+    try:
+        text = emit_table(("a",) * len(columns), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + series_io._EMIT_ROWS * len(columns) * 128
