@@ -268,7 +268,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         written = args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: say, gbm's grid at a huge --steps
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -124,6 +124,8 @@ def oscillation_score(
     if fluct.ndim != 1 or len(fluct) == 0:
         raise ValueError("fluctuation must be a nonempty one-dimensional sequence")
     n = len(fluct)
+    if isinstance(min_window, bool) or not isinstance(min_window, int):
+        raise ValueError(f"min_window must be an integer, got {min_window!r}")
     if not 1 <= min_window <= n:
         raise ValueError(f"min_window must be in 1..{n}, got {min_window}")
 

@@ -16,7 +16,9 @@ into its rows before the next is drawn. simulate_paths writes its blocks
 into the result and keeps one stage of _STAGE_VALUES normals per thread:
 512 KiB each beside the result. oscillation_probability keeps a block of
 prices and a stage as large as the block, 8 MiB of each per call. Both
-bounds hold whatever the ensemble size.
+bounds hold for any number of paths, not for any length of row: a block
+or a stage holds at least one row, so the 8 MiB bound fails once steps >
+2^20, and the 512 KiB one once steps > 2^16.
 The mean trend and the step widths are computed once per GbmParams.
 """
 from __future__ import annotations

@@ -55,7 +55,9 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if isinstance(self.degree, bool) or not isinstance(self.degree, int) or self.degree < 0:
             raise ValueError(f"degree must be a non-negative integer, got {self.degree!r}")
-        if not isinstance(self.window, int) or self.window <= self.degree + 1:
+        if isinstance(self.window, bool) or not isinstance(self.window, int):
+            raise ValueError(f"window must be an integer, got {self.window!r}")
+        if self.window <= self.degree + 1:
             raise ValueError(
                 f"underdetermined: window must exceed degree + 1, got window={self.window!r} "
                 f"for degree {self.degree}"

@@ -8,16 +8,17 @@ Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
 are not interpolated, each row is one step of the uniform trading-day
 grid, whose interval is kernels.EstimatorSpec.spacing.
 
-A file is checked a column at a time. Text with no quote character and no
-carriage return splits on newlines and the delimiter, one block of lines
-at a time; any other text goes through the csv module's reader, the one
-tokenizer that reads quoted cells and CR line ends. Either feeds the
-same checks on the date and price columns as wholes. The per-row loop
-runs only when one of them fails, to name the first faulty row with its
-message. Beside the series it returns, a load of plain text holds at most
-2 bytes of scratch per byte of the file (its bytes and its text while
-decoding) plus 8 bytes per character of one block (_BLOCK_CHARS); the
-csv reader adds its copy of the text at 4 bytes a character.
+Quote-free text with LF or CR LF line ends is checked a column at a time:
+it splits on line ends and the delimiter, one block of lines at a time,
+and the date and price columns are checked as wholes. Any other text (a
+quote character or a lone CR) is read row by row by the csv module's
+reader, in the same loop that, when a column check fails, names the
+first faulty row with its message. Beside the series it returns, a load
+of LF text holds at most 2 bytes of scratch per byte of the file (its
+bytes and its text while decoding) plus 8 bytes per character of one
+block (_BLOCK_CHARS); CR LF text adds its copy with LF line ends, at most
+3 bytes per byte in all. The row pass adds the csv reader's copy of the
+text at 4 bytes a character.
 
 Every output is written by one of two writers here: emit_table for
 comma-separated tables (header row, numbers as their repr, so floats
@@ -36,7 +37,7 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter, methodcaller
 from typing import Iterable, Optional, Sequence
 
@@ -45,10 +46,8 @@ import numpy as np
 # [0-9], not \d: \d also matches non-ASCII digits such as Arabic-Indic ones.
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
-# rows tokenized at once: a block of plain text splits at the first line end
-# past _BLOCK_CHARS characters, one of the csv reader holds _BLOCK_ROWS rows
+# characters tokenized at once: a block splits at the first line end past them
 _BLOCK_CHARS = 1 << 16
-_BLOCK_ROWS = 1 << 11
 # table rows whose cells emit_table holds as strings at once
 _EMIT_ROWS = 1024
 
@@ -180,17 +179,6 @@ def _plain_blocks(text: str, start: int, delimiter: str, di: int, pi: int):
         yield column
 
 
-def _csv_blocks(reader, di: int, pi: int):
-    """Yield the date and price cells of the reader's rows, _BLOCK_ROWS at a
-    time, and None for a block with a row that lacks either cell."""
-    rows = filter(None, reader)  # blank lines are skipped
-    while True:
-        column = _pick(islice(rows, _BLOCK_ROWS), di, pi)
-        if column is not None and not column[0]:
-            return
-        yield column
-
-
 def _increasing_days(cells: list[str]) -> bool:
     """Whether cells are ASCII YYYY-MM-DD dates of real calendar days from
     year 1 on, in strictly increasing order."""
@@ -213,22 +201,24 @@ def _increasing_days(cells: list[str]) -> bool:
 
 def _column_pass(path: str, text: str, date_col: str, price_col: str,
                  delimiter: str) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
-    """The dates and prices of text when every column check passes, else
-    None. A header fault raises as in the row loop; a csv.Error escapes."""
-    if '"' in text or "\r" in text:
-        reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-        di, pi = _column_indices(path, next(reader, None), date_col, price_col)
-        blocks = _csv_blocks(reader, di, pi)
-    else:
-        csv.reader((), delimiter=delimiter)  # the csv reader's check of the delimiter
-        end = text.find("\n")
-        head = text if end < 0 else text[:end]
-        if len(head) > csv.field_size_limit():
+    """The dates and prices of quote-free text, with LF or CR LF line ends,
+    when every column check passes, else None, as for any text with a quote
+    character or a lone CR. A header fault raises as in the row loop."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")  # the csv reader ends a line at either
+        if "\r" in text:
             return None
-        # as csv.reader: no row in an empty text, an empty row for a blank line
-        header = head.split(delimiter) if head else ([] if text else None)
-        di, pi = _column_indices(path, header, date_col, price_col)
-        blocks = _plain_blocks(text, len(head) + 1, delimiter, di, pi)
+    if '"' in text:
+        return None
+    csv.reader((), delimiter=delimiter)  # the csv reader's check of the delimiter
+    end = text.find("\n")
+    head = text if end < 0 else text[:end]
+    if len(head) > csv.field_size_limit():
+        return None
+    # as csv.reader: no row in an empty text, an empty row for a blank line
+    header = head.split(delimiter) if head else ([] if text else None)
+    di, pi = _column_indices(path, header, date_col, price_col)
+    blocks = _plain_blocks(text, len(head) + 1, delimiter, di, pi)
     # float() also reads underscores between digits and non-ASCII digits:
     # the literals need a look only in a text that has either
     literals = not text.isascii() or "_" in text
@@ -257,8 +247,10 @@ def _column_pass(path: str, text: str, date_col: str, price_col: str,
 
 def _row_pass(path: str, text: str, date_col: str, price_col: str,
               delimiter: str) -> tuple[tuple[str, ...], np.ndarray]:
-    """The dates and prices of text, read and checked one row at a time:
-    the first faulty row, or a malformed line, raises its error."""
+    """The dates and prices of text, read by the csv reader and checked one
+    row at a time: the first faulty row, or a malformed line, raises its
+    error. It reads any text, and is the only reader of text with a quote
+    character or a lone CR."""
     plain = text.isascii() and "_" not in text
     values: list[float] = []
     dates: list[str] = []
@@ -313,14 +305,15 @@ def load_prices(
     numbered from 2. A malformed line (a field over the csv module's size
     limit) is named by its line number in the file instead.
 
-    Plain text, with no quote character and no carriage return, is split
-    on newlines and the delimiter; other text is read by csv.reader. The
-    date and price columns are then checked whole: the date grammar, the
-    calendar and the date order, then float() over the prices and their
-    finiteness and sign. Only when a check fails does the row loop read
-    the text again, to raise the first faulty row's error. Beside the
-    series, plain text takes about two bytes of scratch per byte of the
-    file plus one block of lines; see the module docstring.
+    Quote-free text with LF or CR LF line ends is split on line ends and
+    the delimiter, and its date and price columns are checked whole: the
+    date grammar, the calendar and the date order, then float() over the
+    prices and their finiteness and sign. Only when a check fails does
+    the row loop read the text again, to raise the first faulty row's
+    error. Text with a quote character or a lone CR goes to the row loop
+    at once, which reads it with csv.reader. Beside the series, LF text
+    takes about two bytes of scratch per byte of the file plus one block
+    of lines, CR LF text three; see the module docstring.
 
     Args:
         path: file location.
@@ -340,10 +333,7 @@ def load_prices(
             offending line or row number.
     """
     text = _read_text(path)
-    try:
-        columns = _column_pass(path, text, date_col, price_col, delimiter)
-    except csv.Error:  # the row loop names its line, after any faulty row before it
-        columns = None
+    columns = _column_pass(path, text, date_col, price_col, delimiter)
     dates, values = columns or _row_pass(path, text, date_col, price_col, delimiter)
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 data rows, got {len(values)}")

@@ -1,15 +1,20 @@
 """Command-line entry points: outputs, exit codes, and atomicity."""
+import contextlib
 import errno
+import io
 import os
 import platform
 import stat
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trendlab
 from conftest import write_price_csv
@@ -259,6 +264,15 @@ class TestGbm:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_steps_too_many_to_allocate_exit_2(self, tmp_path, capsys):
+        # the grid of 10^15 + 1 times alone would take 7 PiB: numpy refuses
+        # it at once, before any normal is drawn
+        rc = main(["gbm", "--steps", "1000000000000000", "--paths", "1", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value, message", [
         ("inf", "threshold must be finite, got inf"),
         ("nan", "threshold must be >= 0, got nan"),
@@ -461,6 +475,78 @@ class TestErrorHandling:
         ])
         assert rc == 2
         assert "underdetermined" in capsys.readouterr().err
+
+
+_ROWS = 700  # n of the flag property's price file
+_FLOATS = ["0", "-1", "nan", "inf", "-inf"]
+_COUNTS = ["0", "-1"]
+
+
+@pytest.fixture(scope="module")
+def rows_csv(tmp_path_factory):
+    rng = np.random.default_rng(29)
+    values = 50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, _ROWS)))
+    return write_price_csv(tmp_path_factory.mktemp("flags") / "prices.csv", values)
+
+
+@st.composite
+def cli_flags(draw):
+    """A subcommand and its flags, each value drawn from a small grid of
+    edge values or left at its default. paths x steps stays at most 10^5,
+    but for one run of 10^15 steps that can never be allocated."""
+    sub = draw(st.sampled_from(["decompose", "moments", "forecast", "backtest", "gbm"]))
+    argv = [sub]
+
+    def flag(name, values):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv.append(f"--{name}={value}")
+
+    if sub == "gbm":
+        paths, steps = draw(st.sampled_from([
+            (10, 10), (1, 1), (100, 1000), (0, 10), (-1, 10), (10, 0), (10, -1), (1, 10**15),
+        ]))
+        argv += [f"--paths={paths}", f"--steps={steps}"]
+        for name in ("mu", "sigma", "s0", "t-end", "epsilon", "oscillation-threshold"):
+            flag(name, _FLOATS)
+        flag("seed", _COUNTS)
+        return argv
+    # windows at N + 1, N + 2, n and n + 1 for the degree N drawn (2 by
+    # default), and a degree whose rejection once took seconds
+    kernels = [(degree, window) for degree in (None, 0, -1)
+               for window in (None, *_COUNTS, *((degree or 2) + k for k in (1, 2)), _ROWS, _ROWS + 1)]
+    degree, window = draw(st.sampled_from([*kernels, (300, 400)]))
+    argv += [f"--{name}={value}" for name, value in (("degree", degree), ("window", window))
+             if value is not None]
+    flag("smoothing", [*_COUNTS, 3])
+    if sub == "decompose":
+        flag("oscillation-min-window", [*_COUNTS, _ROWS, _ROWS + 1])
+        flag("oscillation-threshold", _FLOATS)
+    else:
+        flag("moment-window", [*_COUNTS, _ROWS, _ROWS + 1])
+    if sub in ("forecast", "backtest"):
+        flag("fast-window", [*_COUNTS, 3, 4, _ROWS, _ROWS + 1])
+        flag("horizons", ["1,1", "5,1,5", *_COUNTS, _ROWS])
+        flag("level", [*_FLOATS, "1"])
+        flag("deadband-mult", _FLOATS)
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=cli_flags())
+@example(flags=["gbm", "--paths=1", f"--steps={10**15}"])
+@example(flags=["decompose", "--degree=300", "--window=400"])
+def test_any_drawn_flags_exit_0_or_2_with_one_error_line(rows_csv, flags):
+    argv = [flags[0]] + ([] if flags[0] == "gbm" else ["--input", str(rows_csv)]) + flags[1:]
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--out-dir", out])
+        assert rc in (0, 2)
+        if rc == 2:
+            text = err.getvalue()
+            assert text.startswith("error: ") and text.count("\n") == 1, text
+            assert os.listdir(out) == []
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
 """Sliding decomposition and the windowed-mean oscillation score."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -180,6 +182,9 @@ class TestOscillationScore:
             oscillation_score(np.zeros(0))
         with pytest.raises(ValueError, match="min_window must be in 1..5"):
             oscillation_score(np.zeros(5), min_window=6)
+        for min_window in (2.0, 2.5, True):  # True would be scored as 1
+            with pytest.raises(ValueError, match=f"min_window must be an integer, got {re.escape(repr(min_window))}$"):
+                oscillation_score(np.zeros(5), min_window=min_window)
         for threshold in (float("nan"), -1.0):
             with pytest.raises(ValueError, match=f"threshold must be >= 0, got {threshold!r}"):
                 oscillation_score(np.zeros(5), min_window=2, threshold=threshold)

@@ -1,5 +1,6 @@
 """Kernel bank construction: exactness, golden weights, noise gains."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +41,11 @@ class TestEstimatorSpec:
     def test_window_must_exceed_degree_plus_one(self):
         with pytest.raises(ValueError, match="underdetermined"):
             EstimatorSpec(degree=2, window=3)
-        for flag in (True, False):
-            with pytest.raises(ValueError, match=f"underdetermined: window must exceed degree \\+ 1, got window={flag} "):
-                EstimatorSpec(degree=0, window=flag)
+        # bool is an int subclass, and a float or a numpy integer is not
+        # one, but none of them is rejected as underdetermined
+        for window in (True, False, 21.0, np.int64(21)):
+            with pytest.raises(ValueError, match=f"window must be an integer, got {re.escape(repr(window))}$"):
+                EstimatorSpec(degree=0, window=window)
         EstimatorSpec(degree=2, window=4)  # smallest admissible
 
     def test_spacing_must_be_positive(self):

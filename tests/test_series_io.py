@@ -320,6 +320,14 @@ def _variant(text, variant):
     lines = text.split("\n")
     if variant == "crlf":
         return text.replace("\n", "\r\n")
+    if variant == "lone CR":
+        return text.replace("\n", "\r")
+    if variant == "mixed LF/CRLF":
+        return "".join(line + ("\r\n" if k % 2 else "\n") for k, line in enumerate(lines[:-1]))
+    if variant == "CRLF with blank lines":
+        return _variant(_variant(text, "blank lines"), "crlf")
+    if variant == "padded CRLF":
+        return _variant(_variant(text, "padded"), "crlf")
     if variant == "quoted":
         return "\n".join(",".join(f'"{c}"' for c in line.split(",")) if line else "" for line in lines)
     if variant == "bom":
@@ -335,38 +343,93 @@ def _variant(text, variant):
     raise AssertionError(variant)
 
 
+def _same_series(a, b):
+    return (a.name, a.values.tobytes(), a.dates) == (b.name, b.values.tobytes(), b.dates)
+
+
+def _count_row_passes(monkeypatch):
+    """Wrap series_io._row_pass; the list it appends each call's arguments to."""
+    calls, real = [], series_io._row_pass
+
+    def row_pass(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(series_io, "_row_pass", row_pass)
+    return calls
+
+
+def _scratch(path):
+    """The series load_prices reads from path, and its traced peak beyond
+    what it keeps."""
+    load_prices(str(path))  # imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        series = load_prices(str(path))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return series, peak - kept
+
+
 class TestColumnPass:
     @pytest.mark.parametrize("variant", [
-        None, "crlf", "quoted", "bom", "padded", "blank lines", "volume in some rows", "date last",
+        None, "crlf", "mixed LF/CRLF", "CRLF with blank lines", "padded CRLF", "bom", "padded",
+        "blank lines", "volume in some rows", "date last",
     ])
     def test_row_loop_runs_only_on_failure(self, tmp_path, monkeypatch, variant):
-        # 3,000 rows span several blocks of plain text and of csv rows
+        # 3,000 rows span several blocks
         path = write_price_csv(tmp_path / "prices.csv", np.random.default_rng(8).uniform(1, 99, 3000))
         want = load_prices(str(path))
         if variant is not None:
             path.write_bytes(_variant(path.read_text(), variant).encode())
+        calls = _count_row_passes(monkeypatch)
+        assert _same_series(load_prices(str(path)), want)
+        assert calls == [], "row loop entered for a well-formed file"
 
-        def row_pass(*args):
-            raise AssertionError("row loop entered for a well-formed file")
+    @pytest.mark.parametrize("variant", ["quoted", "lone CR"])
+    def test_quoted_and_lone_cr_text_load_through_the_row_pass(self, tmp_path, monkeypatch, variant):
+        path = write_price_csv(tmp_path / "prices.csv", np.random.default_rng(8).uniform(1, 99, 3000))
+        want = load_prices(str(path))
+        path.write_bytes(_variant(path.read_text(), variant).encode())
+        calls = _count_row_passes(monkeypatch)
+        assert _same_series(load_prices(str(path)), want)
+        assert len(calls) == 1
 
-        monkeypatch.setattr(series_io, "_row_pass", row_pass)
-        got = load_prices(str(path))
-        assert (got.name, got.values.tobytes(), got.dates) == (want.name, want.values.tobytes(), want.dates)
+    @pytest.mark.parametrize("text, date_col, message", [
+        ("Date\rClose\r\n2020-01-01\r10\r\n2020-01-02\r11\r\n", "Date",
+         "missing column(s); have ['Date'], need 'Date' and 'Close'"),
+        ("Date\rClose\n2020-01-01\r10\n2020-01-02\r11\n", "Close",
+         "missing column(s); have ['Date'], need 'Close' and 'Close'"),
+        ("Close\r10\r11\r", "Close", "row 2: unparsable date '10'"),
+    ], ids=["CRLF", "LF", "one column"])
+    def test_cr_delimiter_keeps_the_csv_readers_result(self, tmp_path, monkeypatch, text, date_col,
+                                                       message):
+        # the csv reader ends a line at a CR before it looks for the
+        # delimiter, so a CR delimiter splits no row
+        path = tmp_path / "cr.csv"
+        path.write_bytes(text.encode())
+        calls = _count_row_passes(monkeypatch)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:? {re.escape(message)}$"):
+            load_prices(str(path), date_col=date_col, delimiter="\r")
+        assert len(calls) == 1
 
     def test_scratch_is_bounded_by_the_file_and_one_block(self, tmp_path):
         # beside the series it returns, a load of plain text holds the
         # file's bytes and its text, then the text, one block's cells and
         # the column arrays
         path = write_price_csv(tmp_path / "long.csv", np.random.default_rng(9).uniform(1, 99, 20_000))
-        load_prices(str(path))  # imports and caches stay out of the peak
-        tracemalloc.start()
-        try:
-            series = load_prices(str(path))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        series, scratch = _scratch(path)
         assert len(series) == 20_000
-        assert peak - kept <= 2 * path.stat().st_size + 8 * series_io._BLOCK_CHARS
+        assert scratch <= 2 * path.stat().st_size + 8 * series_io._BLOCK_CHARS
+
+    def test_crlf_scratch_is_bounded_by_the_file_and_one_block(self, tmp_path):
+        # CRLF text adds its copy with LF line ends to the plain text's scratch
+        path = write_price_csv(tmp_path / "long.csv", np.random.default_rng(9).uniform(1, 99, 20_000))
+        path.write_bytes(_variant(path.read_text(), "crlf").encode())
+        series, scratch = _scratch(path)
+        assert len(series) == 20_000
+        assert scratch <= 3 * path.stat().st_size + 8 * series_io._BLOCK_CHARS
 
 
 class TestDumpPrices:
@@ -425,7 +488,7 @@ def price_files(draw):
         rows[k] = (rows[k] + ["extra", "more"])[:cut]
 
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     lines = []
     for i, row in enumerate([header, *rows]):
         # blank lines, rarely before the header
