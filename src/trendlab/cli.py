@@ -138,6 +138,10 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
 def _cmd_moments(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     bank = build_kernel_bank(_slow_spec(args))
+    # W - 1 samples of trend warm-up, then M + 1 for the first window
+    need = bank.spec.window + args.moment_window
+    if len(series) < need:
+        raise ValueError(f"series too short: need at least {need} samples, got {len(series)}")
     dec = sliding_trend(series, bank)
     track = moment_tracks(dec.fluctuation, args.moment_window)
     text = emit_moments(track, dates=series.dates, offset=dec.warmup)

@@ -22,6 +22,23 @@ def brute_force_moment(fluct: np.ndarray, k: int, M: int) -> np.ndarray:
     return out
 
 
+def brute_force_tracks(fluct: np.ndarray, M: int) -> dict[str, np.ndarray]:
+    """std, skew, kurt and defined per window from product power sums."""
+    ma = np.empty((3, len(fluct) - M))
+    for pos in range(ma.shape[1]):
+        window = fluct[pos : pos + M + 1]
+        c = window - window.mean()
+        ma[:, pos] = (c * c).sum(), (c * (c * c)).sum(), ((c * c) * (c * c)).sum()
+    ma2, ma3, ma4 = ma / (M + 1)
+    defined = ma2 > 0.0
+    std = np.sqrt(ma2)
+    skew = np.full_like(ma2, np.nan)
+    kurt = np.full_like(ma2, np.nan)
+    skew[defined] = ma3[defined] / (ma2[defined] * std[defined])
+    kurt[defined] = ma4[defined] / (ma2[defined] * ma2[defined])
+    return {"std": std, "skew": skew, "kurt": kurt, "defined": defined}
+
+
 class TestRollingCentralMoment:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_equals_brute_force_exactly(self, k):
@@ -82,6 +99,28 @@ class TestThreadSplit:
                 np.testing.assert_array_equal(
                     rolling_central_moment(fluct, k, m), brute_force_moment(fluct, k, m)
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_minus_m=st.integers(1, 60),
+        m=st.integers(1, 12),
+        cpus=st.integers(1, 8),
+        chunk_rows=st.integers(1, 20),
+        span_rows=st.integers(1, 30),
+        zeros=st.tuples(st.integers(0, 72), st.integers(0, 72)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tracks_equal_the_product_oracle(self, n_minus_m, m, cpus, chunk_rows, span_rows, zeros, seed):
+        rng = np.random.default_rng(seed)
+        fluct = rng.normal(0.0, 1.0, n_minus_m + m)
+        fluct[min(zeros) : max(zeros)] = 0.0  # undefined windows, anywhere
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spans, "_cpu_count", lambda: cpus)
+            mp.setattr(moments, "_SPAN_ROWS", span_rows)
+            mp.setattr(moments, "_CHUNK_ROWS", chunk_rows)
+            track = moment_tracks(fluct, m)
+        for name, want in brute_force_tracks(fluct, m).items():
+            np.testing.assert_array_equal(getattr(track, name), want, err_msg=name)
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
     def test_a_failing_span_reaches_the_caller(self, monkeypatch, failing):
