@@ -2,13 +2,18 @@
 
 forecast_setup builds what walk_forward and the forecast command read:
 the slow and fast decompositions, the slow std track and the first
-origin. In one array pass per horizon over every origin, the pipeline
-forecasts the trend (slow bank), the price (fast bank), and the
-fluctuation std (slow bank over the rolling std track), calls a position
-inside the deadband rule, and scores it against the realized sign of
-price minus the retrospective slow trend at the target date. Percentages,
-forecast errors, band coverage, and the std track's heteroscedasticity
-are aggregated per horizon.
+origin. walk_forward slides the slow bank over the std track once per
+call, over the shortest horizon's origins, of which every other
+horizon's origins are a prefix. Then, in one array pass per horizon over
+every origin, it forecasts the trend (slow bank), the price (fast bank),
+and the fluctuation std (from a prefix of those slides), calls a
+position inside the deadband rule, and scores it against the realized
+sign of price minus the retrospective slow trend at the target date.
+Positions stay int8 codes throughout (0 above, 1 under, 2 no_decision;
+realized 0 where the fluctuation is > 0, else 1); score_positions takes
+the names and scores them by the same count. Percentages, forecast
+errors, band coverage, and the std track's heteroscedasticity are
+aggregated per horizon.
 """
 from __future__ import annotations
 
@@ -100,18 +105,24 @@ def score_positions(
         raise ValueError("nothing to score")
     pred, real = np.asarray(predictions), np.asarray(realized)
     # == masks: np.isin would sort both string arrays
-    bad = (real != fc.ABOVE) & (real != fc.UNDER)
+    real_under = real == fc.UNDER
+    bad = ~(real_under | (real == fc.ABOVE))
     if bad.any():
         raise ValueError(f"realized positions must be above/under, got {real[bad].tolist()[0]!r}")
-    decided = (pred == fc.ABOVE) | (pred == fc.UNDER)
-    undecided = pred == fc.NO_DECISION
-    bad = ~(decided | undecided)
+    above, under = pred == fc.ABOVE, pred == fc.UNDER
+    bad = ~(above | under | (pred == fc.NO_DECISION))
     if bad.any():
         raise ValueError(f"unknown prediction {pred[bad].tolist()[0]!r}")
-    total = len(pred)
-    exact = int(np.count_nonzero(pred == real))
-    nodecision = int(np.count_nonzero(undecided))
-    wrong = int(np.count_nonzero(decided)) - exact
+    return _score(fc._codes(above, under), real_under.view(np.int8))
+
+
+def _score(codes: np.ndarray, realized: np.ndarray) -> tuple[float, float, float]:
+    """score_positions on int8 position codes and realized codes (0 above,
+    1 under) of one nonzero length."""
+    total = len(codes)
+    exact = int(np.count_nonzero(codes == realized))
+    nodecision = int(np.count_nonzero(codes == 2))  # no_decision
+    wrong = total - nodecision - exact
     return 100.0 * exact / total, 100.0 * nodecision / total, 100.0 * wrong / total
 
 
@@ -154,20 +165,22 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
         raise ValueError(f"series too short: need at least {need} samples, got {n}")
     slow, fast, std, start = forecast_setup(series, config)
     skipped = start - fc.first_origin(config.spec_slow.window, config.M)
+    # every horizon's origins are a prefix of the shortest horizon's: slide those once
+    slides, entries = fc._std_slides(slow, std, np.arange(start, n - min(config.horizons)))
     results = []
     for h in config.horizons:
         origins = np.arange(start, n - h)
-        point = fc.forecast_point(
-            slow, fast, std, origins, h,
-            level=config.level, deadband_mult=config.deadband_rule,
-        )
+        trend_hat, lo, hi, codes = fc._forecast(
+            slow, fast, (slides, entries[: len(origins)]), origins, h,
+            config.level, config.deadband_rule,
+        )[:4]  # not the deadband, which nothing here reads
         target = series.values[origins + h]
-        realized = np.where(slow.fluctuation[origins + h - slow.warmup] > 0, fc.ABOVE, fc.UNDER)
-        exact, nodecision, wrong = score_positions(point.position, realized)
+        realized = ~(slow.fluctuation[origins + h - slow.warmup] > 0)  # NaN reads as under
+        exact, nodecision, wrong = _score(codes, realized.view(np.int8))
         # float_power matches the scalar d ** 2, and cumsum adds in origin
         # order, so the error sum does not depend on numpy's summation.
-        sq_err = float(np.cumsum(np.float_power(point.trend_hat - target, 2))[-1])
-        covered = int(np.count_nonzero((point.lo <= target) & (target <= point.hi)))
+        sq_err = float(np.cumsum(np.float_power(trend_hat - target, 2))[-1])
+        covered = int(np.count_nonzero((lo <= target) & (target <= hi)))
         stds = std[origins - slow.warmup - config.M]
         std_min, std_max = float(stds.min()), float(stds.max())
         count = len(origins)
@@ -184,8 +197,8 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
                 skipped=skipped,
             )
         )
-        # one horizon's arrays at a time: the next forecast_point runs without these
-        del point, target, realized, stds
+        # one horizon's arrays at a time: the next forecast runs without these
+        del trend_hat, lo, hi, codes, target, realized, stds
     return BacktestReport(
         series_name=series.name,
         samples=n,

@@ -41,8 +41,10 @@ class Decomposition:
         return len(self.trend)
 
     def position(self, source_index):
-        """Aligned position(s) of a source index or integer array; rejects warm-up indices."""
-        pos = source_index - self.warmup
+        """Aligned position(s) of a source index or a non-empty integer array,
+        signed or unsigned; rejects a float, a bool, an empty array and
+        warm-up indices."""
+        pos = _signed_indices(source_index) - self.warmup
         bad = np.extract((pos < 0) | (pos >= len(self.trend)), source_index)
         if bad.size:
             raise ValueError(
@@ -50,6 +52,24 @@ class Decomposition:
                 f"{self.warmup}..{self.warmup + len(self.trend) - 1}"
             )
         return pos
+
+
+def _signed_indices(t):
+    """t, an integer or a non-empty integer array (signed or unsigned, of
+    any width), as a Python int or an int64 array, so that index arithmetic
+    on it cannot wrap.
+
+    Raises:
+        ValueError: t a float, a bool, an empty array or no integer.
+    """
+    if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
+        return int(t)
+    if isinstance(t, np.ndarray) and t.dtype.kind in "iu" and t.size:
+        if t.ndim == 0:
+            return int(t)
+        return t.astype(np.int64, copy=False)
+    got = f"{'a' if t.size else 'an empty'} {t.dtype} array" if isinstance(t, np.ndarray) else repr(t)
+    raise ValueError(f"t must be an integer or a non-empty integer array, got {got}")
 
 
 @dataclass(frozen=True)

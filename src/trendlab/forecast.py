@@ -6,7 +6,17 @@ by a kernel bank first (KernelBank.slide, as for the trend). The position
 classifier compares a fast-filter price forecast against the slow-filter
 trend forecast inside a deadband proportional to the predicted fluctuation
 std. An origin t is one index (plain float results) or an integer array
-of them (array results, in one pass).
+of them (array results, in one pass); an unsigned one is made signed
+before any arithmetic.
+
+Inside this module and backtest, a position call is an int8 code (0 above,
+1 under, 2 no_decision); the names appear only where the public API
+returns or takes them (classify_position, ForecastPoint.position,
+backtest.score_positions), each array of them made by one take from the
+three names. forecast_point slides the std track for its own origins; a
+caller forecasting several horizons at origins that share their first one
+(backtest.walk_forward) slides it once, for the most origins, and runs the
+same core on a prefix of those slides per horizon.
 """
 from __future__ import annotations
 
@@ -15,13 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import Decomposition
+from .decompose import Decomposition, _signed_indices
 from .kernels import KernelBank
 from .moments import MomentTrack
 
 ABOVE = "above"
 UNDER = "under"
 NO_DECISION = "no_decision"
+# the position names in code order: code k names _NAMES[k]
+_NAMES = np.array([ABOVE, UNDER, NO_DECISION])
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,8 @@ def forecast_trend(dec: Decomposition, t, h: float):
     Derivative orders the bank does not estimate are taken as zero.
 
     Raises:
-        ValueError: t in the warm-up region or outside the series.
+        ValueError: t not an integer or a non-empty integer array, or in
+            the warm-up region or outside the series.
     """
     return _extrapolate((dec.trend, dec.d1, dec.d2), dec.position(t), dec.bank.spec.spacing, h)
 
@@ -68,9 +81,10 @@ def _extrapolate(tracks, at, spacing: float, h: float, floor: float = -np.inf):
     return out if np.ndim(at) else float(out)
 
 
-def _filter_extrapolate(bank: KernelBank, seq: np.ndarray, pos, h: float, floor: float = -np.inf):
-    """Filter seq with the bank on the windows ending at positions pos and
-    extrapolate h steps; rejects positions without W values ending there."""
+def _slides(bank: KernelBank, seq: np.ndarray, pos):
+    """The bank's value, d1 and d2 slides of seq (None past its degree) over
+    the windows ending at first..last of positions pos, and the entry of
+    each position in them; rejects positions without W values ending there."""
     w = bank.spec.window
     first, last = np.min(pos), np.max(pos)
     if first < 0 or last >= len(seq):
@@ -78,8 +92,7 @@ def _filter_extrapolate(bank: KernelBank, seq: np.ndarray, pos, h: float, floor:
     if first - w + 1 < 0:
         raise ValueError(f"insufficient history: need {w} track values ending at {first}, have {first + 1}")
     span = seq[first - w + 1 : last + 1]  # slide entry a: the window ending at first + a
-    tracks = [bank.slide(span, v) if v <= bank.spec.degree else None for v in range(3)]
-    return _extrapolate(tracks, pos - first, bank.spec.spacing, h, floor)
+    return [bank.slide(span, v) if v <= bank.spec.degree else None for v in range(3)], pos - first
 
 
 def forecast_moments(track: MomentTrack, bank: KernelBank, t, h: float) -> tuple:
@@ -96,10 +109,12 @@ def forecast_moments(track: MomentTrack, bank: KernelBank, t, h: float) -> tuple
         two forecasts, mirroring the track's undefined flags.
 
     Raises:
-        ValueError: fewer than window values ending at t.
+        ValueError: t not an integer or a non-empty integer array, or
+            fewer than window values ending at t.
     """
+    t = _signed_indices(t)
     return tuple(
-        _filter_extrapolate(bank, seq, t, h, floor)
+        _extrapolate(*_slides(bank, seq, t), bank.spec.spacing, h, floor)
         for seq, floor in ((track.std, 0.0), (track.skew, -np.inf), (track.kurt, 1.0))
     )
 
@@ -174,13 +189,30 @@ def classify_position(price_hat, trend_hat, deadband):
     """above / under / no_decision by comparing the forecasts.
 
     above when price_hat - trend_hat > deadband, under when
-    trend_hat - price_hat > deadband, no_decision inside the band.
+    trend_hat - price_hat > deadband, no_decision inside the band (and
+    where the difference is NaN).
     """
+    return _names(_position_codes(price_hat, trend_hat, deadband))
+
+
+def _position_codes(price_hat, trend_hat, deadband):
+    """classify_position's rule as int8 codes: 0 above, 1 under, 2 no_decision."""
     if not np.all(deadband >= 0):
         raise ValueError(f"deadband must be >= 0, got {float(np.min(deadband))!r}")
     diff = price_hat - trend_hat
-    position = np.where(diff > deadband, ABOVE, np.where(-diff > deadband, UNDER, NO_DECISION))
-    return position if position.ndim else str(position)
+    return _codes(np.asarray(diff > deadband), np.asarray(-diff > deadband))
+
+
+def _codes(above, under):
+    """int8 position codes from boolean above and under masks that never
+    both hold: 2 - 2 * above - under."""
+    return 2 - 2 * above.view(np.int8) - under.view(np.int8)
+
+
+def _names(codes):
+    """The position names of int8 codes: an array, or a str for one code."""
+    names = _NAMES[codes]
+    return names if names.ndim else str(names)
 
 
 def first_origin(slow_window: int, M: int) -> int:
@@ -215,7 +247,8 @@ def forecast_point(
     Each origin t needs t >= first_forecast_origin(W_slow, W_fast, M).
 
     Raises:
-        ValueError: insufficient history at t.
+        ValueError: t not an integer or a non-empty integer array, or
+            insufficient history at t.
     """
     if slow.source is not fast.source:
         raise ValueError("slow and fast decompositions must share one source series")
@@ -223,13 +256,10 @@ def forecast_point(
         raise ValueError(f"deadband_mult must be >= 0, got {deadband_mult!r}")
     if deadband_mult == math.inf:
         raise ValueError(f"deadband_mult must be finite, got {deadband_mult!r}")
-    track_pos = t - slow.warmup - (len(slow) - len(std))
-    std_hat = _filter_extrapolate(slow.bank, std, track_pos, h, floor=0.0)
-    trend_hat = forecast_trend(slow, t, h)
-    price_hat = forecast_trend(fast, t, h)
-    lo, hi = confidence_band(trend_hat, std_hat, level)
-    deadband = deadband_mult * std_hat
-    position = classify_position(price_hat, trend_hat, deadband)
+    t = _signed_indices(t)
+    trend_hat, lo, hi, codes, deadband = _forecast(
+        slow, fast, _std_slides(slow, std, t), t, h, level, deadband_mult
+    )
     return ForecastPoint(
         origin=t,
         horizon=h,
@@ -237,6 +267,26 @@ def forecast_point(
         lo=lo,
         hi=hi,
         level=level,
-        position=position,
+        position=_names(codes),
         deadband=deadband,
     )
+
+
+def _std_slides(slow: Decomposition, std: np.ndarray, t):
+    """The slow bank's slides of the std track over the windows ending at
+    origins t (signed), and each origin's entry in them: see _slides."""
+    return _slides(slow.bank, std, t - slow.warmup - (len(slow) - len(std)))
+
+
+def _forecast(slow: Decomposition, fast: Decomposition, std_slides, t, h: int,
+              level: float, deadband_mult: float):
+    """forecast_point's arithmetic at origins t (signed): (trend_hat, lo,
+    hi, position codes, deadband). std_slides is (slides, entries) as
+    _std_slides returns it for t, or for more origins from t's first one
+    with the entries cut to t's."""
+    std_hat = _extrapolate(*std_slides, slow.bank.spec.spacing, h, floor=0.0)
+    trend_hat = forecast_trend(slow, t, h)
+    price_hat = forecast_trend(fast, t, h)
+    lo, hi = confidence_band(trend_hat, std_hat, level)
+    deadband = deadband_mult * std_hat
+    return trend_hat, lo, hi, _position_codes(price_hat, trend_hat, deadband), deadband

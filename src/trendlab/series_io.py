@@ -8,17 +8,18 @@ Rows map one-to-one onto grid steps: calendar gaps (weekends, holidays)
 are not interpolated, each row is one step of the uniform trading-day
 grid, whose interval is kernels.EstimatorSpec.spacing.
 
-Quote-free text with LF or CR LF line ends is checked a column at a time:
-it splits on line ends and the delimiter, one block of lines at a time,
-and the date and price columns are checked as wholes. Any other text (a
-quote character or a lone CR) is read row by row by the csv module's
-reader, in the same loop that, when a column check fails, names the
-first faulty row with its message. Beside the series it returns, a load
-of LF text holds at most 2 bytes of scratch per byte of the file (its
-bytes and its text while decoding) plus 8 bytes per character of one
-block (_BLOCK_CHARS); CR LF text adds its copy with LF line ends, at most
-3 bytes per byte in all. The row pass adds the csv reader's copy of the
-text at 4 bytes a character.
+Quote-free text is checked a column at a time: its line ends (CR LF, a
+lone CR or LF, as the csv reader ends a line at each) become LF, and it
+splits on them and on the delimiter, one block of lines at a time, and
+the date and price columns are checked as wholes. Text with a quote
+character is read row by row by the csv module's reader, in the same loop
+that, when a column check fails, names the first faulty row with its
+message. Beside the series it returns, a load of LF text holds at most 2
+bytes of scratch per byte of the file (its bytes and its text while
+decoding) plus 8 bytes per character of one block (_BLOCK_CHARS); text
+with a CR adds its copy with LF line ends, at most 3 bytes per byte in
+all. The row pass adds the csv reader's copy of the text at 4 bytes a
+character.
 
 Every output is written by one of two writers here: emit_table for
 comma-separated tables (header row, numbers as their repr, so floats
@@ -201,15 +202,14 @@ def _increasing_days(cells: list[str]) -> bool:
 
 def _column_pass(path: str, text: str, date_col: str, price_col: str,
                  delimiter: str) -> Optional[tuple[tuple[str, ...], np.ndarray]]:
-    """The dates and prices of quote-free text, with LF or CR LF line ends,
-    when every column check passes, else None, as for any text with a quote
-    character or a lone CR. A header fault raises as in the row loop."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")  # the csv reader ends a line at either
-        if "\r" in text:
-            return None
+    """The dates and prices of quote-free text when every column check
+    passes, else None, as for any text with a quote character. A header
+    fault raises as in the row loop."""
     if '"' in text:
         return None
+    if "\r" in text:
+        # the csv reader ends a line at CR LF, at a lone CR and at LF alike
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     csv.reader((), delimiter=delimiter)  # the csv reader's check of the delimiter
     end = text.find("\n")
     head = text if end < 0 else text[:end]
@@ -250,7 +250,7 @@ def _row_pass(path: str, text: str, date_col: str, price_col: str,
     """The dates and prices of text, read by the csv reader and checked one
     row at a time: the first faulty row, or a malformed line, raises its
     error. It reads any text, and is the only reader of text with a quote
-    character or a lone CR."""
+    character."""
     plain = text.isascii() and "_" not in text
     values: list[float] = []
     dates: list[str] = []
@@ -305,15 +305,15 @@ def load_prices(
     numbered from 2. A malformed line (a field over the csv module's size
     limit) is named by its line number in the file instead.
 
-    Quote-free text with LF or CR LF line ends is split on line ends and
+    Quote-free text is split on line ends (CR LF, a lone CR or LF) and
     the delimiter, and its date and price columns are checked whole: the
     date grammar, the calendar and the date order, then float() over the
     prices and their finiteness and sign. Only when a check fails does
     the row loop read the text again, to raise the first faulty row's
-    error. Text with a quote character or a lone CR goes to the row loop
-    at once, which reads it with csv.reader. Beside the series, LF text
-    takes about two bytes of scratch per byte of the file plus one block
-    of lines, CR LF text three; see the module docstring.
+    error. Text with a quote character goes to the row loop at once,
+    which reads it with csv.reader. Beside the series, LF text takes
+    about two bytes of scratch per byte of the file plus one block of
+    lines, text with a CR three; see the module docstring.
 
     Args:
         path: file location.

@@ -24,7 +24,7 @@ from trendlab.forecast import (
     first_origin,
     forecast_point,
 )
-from trendlab.kernels import EstimatorSpec, build_kernel_bank
+from trendlab.kernels import EstimatorSpec, KernelBank, build_kernel_bank
 from trendlab.moments import moment_tracks
 from trendlab.series_io import PriceSeries
 
@@ -141,6 +141,26 @@ class TestScorePositions:
             score_positions([ABOVE], [NO_DECISION])
         with pytest.raises(ValueError, match="unknown prediction"):
             score_positions(["sideways"], [ABOVE])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(st.sampled_from([ABOVE, UNDER, NO_DECISION]), st.sampled_from([ABOVE, UNDER])),
+            min_size=1, max_size=60,
+        ),
+        as_arrays=st.booleans(),
+    )
+    def test_agrees_with_counting_the_strings(self, calls, as_arrays):
+        predictions, realized = (list(column) for column in zip(*calls))
+        total = len(calls)
+        exact = sum(p == r for p, r in calls)
+        nodecision = predictions.count(NO_DECISION)
+        wrong = total - nodecision - exact
+        if as_arrays:
+            predictions, realized = np.array(predictions), np.array(realized)
+        assert score_positions(predictions, realized) == (
+            100.0 * exact / total, 100.0 * nodecision / total, 100.0 * wrong / total
+        )
 
 
 class TestWalkForward:
@@ -319,6 +339,26 @@ def test_horizons_do_not_add_to_the_peak():
 
     one = peak((1,))
     assert peak((1, 2, 3, 4, 5)) <= 1.02 * one
+
+
+@pytest.mark.parametrize("horizons", [(1, 5, 10, 20), (20, 10, 5, 1)])
+def test_std_track_is_slid_once_per_call(monkeypatch, horizons):
+    # the slow and fast trends and the std track, three orders each, for
+    # any number of horizons
+    series = random_walk(600, 4)
+    slide, orders = KernelBank.slide, []
+
+    def counted(bank, values, order):
+        orders.append(order)
+        return slide(bank, values, order)
+
+    monkeypatch.setattr(KernelBank, "slide", counted)
+    counts = []
+    for config in (BacktestConfig(horizons=(1,)), BacktestConfig(horizons=horizons)):
+        orders.clear()
+        walk_forward(series, config)
+        counts.append(len(orders))
+    assert counts[0] == counts[1]
 
 
 class TestEmitReport:

@@ -1,9 +1,12 @@
 """Taylor forecasts, confidence bands, and the position classifier."""
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from trendlab.decompose import sliding_trend
@@ -233,56 +236,88 @@ class TestClassifyPosition:
             classify_position(np.ones(2), 1.0, np.array([0.1, np.nan]))
 
 
-class TestForecastPoint:
+def string_rule(price_hat, trend_hat, deadband):
+    """The nested np.where rule classify_position was first written as."""
+    diff = price_hat - trend_hat
+    position = np.where(diff > deadband, ABOVE, np.where(-diff > deadband, UNDER, NO_DECISION))
+    return position if position.ndim else str(position)
+
+
+# few distinct values, so that ties diff == +-deadband come up often
+EDGES = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]
+FORECASTS = st.sampled_from(EDGES) | st.floats(-1e300, 1e300)
+DEADBANDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.0, 1e300)
+
+
+class TestClassifyPositionProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FORECASTS, FORECASTS, DEADBANDS), min_size=1, max_size=40),
+        one_deadband=st.booleans(),
+    )
+    def test_agrees_with_the_string_rule(self, rows, one_deadband):
+        price, trend, deadband = (np.array(column) for column in zip(*rows))
+        if one_deadband:
+            deadband = deadband[0]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            got = classify_position(price, trend, deadband)
+            want = string_rule(price, trend, deadband)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            for p, t, d in rows:
+                call = classify_position(p, t, d)
+                assert type(call) is str and call == string_rule(p, t, d)
+
+
+class TestForecastOrigins:
+    """forecast_point, forecast_trend and forecast_moments take an integer
+    or a non-empty integer array, signed or unsigned."""
+
     def setup_method(self):
-        rng = np.random.default_rng(55)
-        i = np.arange(260)
-        values = 60.0 + 5.0 * np.sin(2.0 * np.pi * i / 125.0) + rng.normal(0.0, 0.5, 260)
-        self.series = PriceSeries("s", values)
+        rng = np.random.default_rng(56)
+        self.series = PriceSeries("s", 60.0 + rng.normal(0.0, 0.5, 400))
         self.slow = sliding_trend(self.series, BANK)
-        self.fast = sliding_trend(
-            self.series, build_kernel_bank(EstimatorSpec(degree=2, window=7))
-        )
+        self.fast = sliding_trend(self.series, build_kernel_bank(EstimatorSpec(degree=2, window=7)))
         self.track = moment_tracks(self.slow.fluctuation, M=100)
+        self.t_min = 2 * self.slow.warmup + self.track.warmup
 
-    def test_fields_match_components(self):
-        t, h = 200, 1
-        point = forecast_point(self.slow, self.fast, self.track.std, t, h)
-        assert point.origin == t and point.horizon == h
-        assert point.trend_hat == forecast_trend(self.slow, t, h)
-        track_pos = t - self.slow.warmup - self.track.warmup
-        std_hat, _, _ = forecast_moments(self.track, BANK, track_pos, h)
-        assert point.deadband == 0.1 * std_hat
-        assert (point.lo, point.hi) == confidence_band(point.trend_hat, std_hat)
-        price_hat = forecast_trend(self.fast, t, h)
-        assert point.position == classify_position(
-            price_hat, point.trend_hat, point.deadband
-        )
+    def call(self, name, t):
+        """name's result at origins t, as a list of its fields."""
+        if name == "forecast_point":
+            return list(vars(forecast_point(self.slow, self.fast, self.track.std, t, 1)).values())
+        if name == "forecast_trend":
+            return [forecast_trend(self.slow, t, 1)]
+        return list(forecast_moments(self.track, BANK, t, 1))
 
-    def test_band_ordering(self):
-        point = forecast_point(self.slow, self.fast, self.track.std, 210, 5)
-        assert point.lo <= point.trend_hat <= point.hi
-        assert point.level == 0.95
+    @pytest.mark.parametrize("name", ["forecast_point", "forecast_trend", "forecast_moments"])
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32, np.int16])
+    def test_unsigned_and_narrow_arrays_match_int64(self, name, dtype):
+        # 140..239: every origin fits in a uint8, and 0 - 1 would wrap there
+        origins = np.arange(self.t_min, self.t_min + 100)
+        got, want = self.call(name, origins.astype(dtype)), self.call(name, origins)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
-    def test_distinct_sources_rejected(self):
-        other = sliding_trend(
-            PriceSeries("other", self.series.values.copy()),
-            build_kernel_bank(EstimatorSpec(degree=2, window=7)),
-        )
-        with pytest.raises(ValueError, match="share one source"):
-            forecast_point(self.slow, other, self.track.std, 200, 1)
+    def test_one_sample_short_names_the_history(self):
+        short = np.array([self.t_min - 1, self.t_min], dtype=np.uint64)
+        with pytest.raises(ValueError, match="insufficient history"):
+            forecast_point(self.slow, self.fast, self.track.std, short, 1)
+        with pytest.raises(ValueError, match="insufficient history"):
+            forecast_moments(self.track, BANK, np.array([19, 20], dtype=np.uint64), 1)
 
-    def test_insufficient_history_rejected(self):
-        # first admissible origin needs slow warm-up, M, and a track window
-        t_min = 2 * self.slow.warmup + self.track.warmup
-        forecast_point(self.slow, self.fast, self.track.std, t_min, 1)
-        with pytest.raises(ValueError):
-            forecast_point(self.slow, self.fast, self.track.std, t_min - 1, 1)
-
-    def test_negative_deadband_mult_rejected(self):
-        with pytest.raises(ValueError, match="deadband_mult must be >= 0"):
-            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=-0.1)
-        with pytest.raises(ValueError, match="deadband_mult must be >= 0, got nan"):
-            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("nan"))
-        with pytest.raises(ValueError, match="deadband_mult must be finite, got inf$"):
-            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("inf"))
+    @pytest.mark.parametrize("name", ["forecast_point", "forecast_trend", "forecast_moments"])
+    @pytest.mark.parametrize("t, got", [
+        (140.0, "140.0"),
+        (np.float64(140.0), "np.float64(140.0)"),
+        (True, "True"),
+        (np.True_, "np.True_"),
+        (np.array([140.0, 141.0]), "a float64 array"),
+        (np.array([True, False]), "a bool array"),
+        (np.array([], dtype=np.int64), "an empty int64 array"),
+        (np.array([], dtype=np.uint64), "an empty uint64 array"),
+    ], ids=["float", "numpy float", "bool", "numpy bool", "float array", "bool array",
+            "empty", "empty unsigned"])
+    def test_floats_bools_and_empty_arrays_rejected(self, name, t, got):
+        message = f"t must be an integer or a non-empty integer array, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.call(name, t)
