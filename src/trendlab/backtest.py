@@ -105,15 +105,15 @@ def score_positions(
         raise ValueError("nothing to score")
     pred, real = np.asarray(predictions), np.asarray(realized)
     # == masks: np.isin would sort both string arrays
-    real_under = real == fc.UNDER
-    bad = ~(real_under | (real == fc.ABOVE))
+    real_above, real_under = real == fc.ABOVE, real == fc.UNDER
+    bad = ~(real_above | real_under)
     if bad.any():
         raise ValueError(f"realized positions must be above/under, got {real[bad].tolist()[0]!r}")
     above, under = pred == fc.ABOVE, pred == fc.UNDER
     bad = ~(above | under | (pred == fc.NO_DECISION))
     if bad.any():
         raise ValueError(f"unknown prediction {pred[bad].tolist()[0]!r}")
-    return _score(fc._codes(above, under), real_under.view(np.int8))
+    return _score(fc._codes(above, under), fc._codes(real_above, real_under))
 
 
 def _score(codes: np.ndarray, realized: np.ndarray) -> tuple[float, float, float]:
@@ -121,7 +121,7 @@ def _score(codes: np.ndarray, realized: np.ndarray) -> tuple[float, float, float
     1 under) of one nonzero length."""
     total = len(codes)
     exact = int(np.count_nonzero(codes == realized))
-    nodecision = int(np.count_nonzero(codes == 2))  # no_decision
+    nodecision = int(np.count_nonzero(codes == fc._NO_DECISION_CODE))
     wrong = total - nodecision - exact
     return 100.0 * exact / total, 100.0 * nodecision / total, 100.0 * wrong / total
 
@@ -166,17 +166,16 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
     slow, fast, std, start = forecast_setup(series, config)
     skipped = start - fc.first_origin(config.spec_slow.window, config.M)
     # every horizon's origins are a prefix of the shortest horizon's: slide those once
-    slides, entries = fc._std_slides(slow, std, np.arange(start, n - min(config.horizons)))
+    std_slides = fc._std_slides(slow, std, np.arange(start, n - min(config.horizons)))
     results = []
     for h in config.horizons:
         origins = np.arange(start, n - h)
-        trend_hat, lo, hi, codes = fc._forecast(
-            slow, fast, (slides, entries[: len(origins)]), origins, h,
-            config.level, config.deadband_rule,
-        )[:4]  # not the deadband, which nothing here reads
+        trend_hat, lo, hi, codes, _ = fc._forecast(
+            slow, fast, std_slides, origins, h, config.level, config.deadband_rule
+        )
         target = series.values[origins + h]
-        realized = ~(slow.fluctuation[origins + h - slow.warmup] > 0)  # NaN reads as under
-        exact, nodecision, wrong = _score(codes, realized.view(np.int8))
+        realized = fc._realized_codes(slow.fluctuation[origins + h - slow.warmup])
+        exact, nodecision, wrong = _score(codes, realized)
         # float_power matches the scalar d ** 2, and cumsum adds in origin
         # order, so the error sum does not depend on numpy's summation.
         sq_err = float(np.cumsum(np.float_power(trend_hat - target, 2))[-1])
@@ -198,7 +197,7 @@ def walk_forward(series: PriceSeries, config: BacktestConfig) -> BacktestReport:
             )
         )
         # one horizon's arrays at a time: the next forecast runs without these
-        del trend_hat, lo, hi, codes, target, realized, stds
+        del trend_hat, lo, hi, codes, _, target, realized, stds
     return BacktestReport(
         series_name=series.name,
         samples=n,

@@ -60,13 +60,16 @@ def _signed_indices(t):
     on it cannot wrap.
 
     Raises:
-        ValueError: t a float, a bool, an empty array or no integer.
+        ValueError: t a float, a bool, an empty array, no integer, or a
+            uint64 array holding 2**63 or more.
     """
     if isinstance(t, (int, np.integer)) and not isinstance(t, bool):
         return int(t)
     if isinstance(t, np.ndarray) and t.dtype.kind in "iu" and t.size:
         if t.ndim == 0:
             return int(t)
+        if t.dtype == np.uint64 and t.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"t must be below 2**63, got {t.max()}")
         return t.astype(np.int64, copy=False)
     got = f"{'a' if t.size else 'an empty'} {t.dtype} array" if isinstance(t, np.ndarray) else repr(t)
     raise ValueError(f"t must be an integer or a non-empty integer array, got {got}")

@@ -34,6 +34,7 @@ UNDER = "under"
 NO_DECISION = "no_decision"
 # the position names in code order: code k names _NAMES[k]
 _NAMES = np.array([ABOVE, UNDER, NO_DECISION])
+_NO_DECISION_CODE = 2
 
 
 @dataclass(frozen=True)
@@ -209,6 +210,12 @@ def _codes(above, under):
     return 2 - 2 * above.view(np.int8) - under.view(np.int8)
 
 
+def _realized_codes(fluctuation):
+    """int8 codes of realized positions: 0 (above) where the fluctuation
+    is > 0, else 1 (under), NaN included."""
+    return (~(fluctuation > 0)).view(np.int8)
+
+
 def _names(codes):
     """The position names of int8 codes: an array, or a str for one code."""
     names = _NAMES[codes]
@@ -256,9 +263,9 @@ def forecast_point(
         raise ValueError(f"deadband_mult must be >= 0, got {deadband_mult!r}")
     if deadband_mult == math.inf:
         raise ValueError(f"deadband_mult must be finite, got {deadband_mult!r}")
-    t = _signed_indices(t)
+    at = _signed_indices(t)
     trend_hat, lo, hi, codes, deadband = _forecast(
-        slow, fast, _std_slides(slow, std, t), t, h, level, deadband_mult
+        slow, fast, _std_slides(slow, std, at), at, h, level, deadband_mult
     )
     return ForecastPoint(
         origin=t,
@@ -281,10 +288,12 @@ def _std_slides(slow: Decomposition, std: np.ndarray, t):
 def _forecast(slow: Decomposition, fast: Decomposition, std_slides, t, h: int,
               level: float, deadband_mult: float):
     """forecast_point's arithmetic at origins t (signed): (trend_hat, lo,
-    hi, position codes, deadband). std_slides is (slides, entries) as
-    _std_slides returns it for t, or for more origins from t's first one
-    with the entries cut to t's."""
-    std_hat = _extrapolate(*std_slides, slow.bank.spec.spacing, h, floor=0.0)
+    hi, position codes, deadband). std_slides is what _std_slides returns
+    for t, or for an array of more origins of which t is a prefix."""
+    slides, entries = std_slides
+    if np.ndim(t):
+        entries = entries[: len(t)]
+    std_hat = _extrapolate(slides, entries, slow.bank.spec.spacing, h, floor=0.0)
     trend_hat = forecast_trend(slow, t, h)
     price_hat = forecast_trend(fast, t, h)
     lo, hi = confidence_band(trend_hat, std_hat, level)

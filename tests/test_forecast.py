@@ -236,6 +236,61 @@ class TestClassifyPosition:
             classify_position(np.ones(2), 1.0, np.array([0.1, np.nan]))
 
 
+class TestForecastPoint:
+    def setup_method(self):
+        rng = np.random.default_rng(55)
+        i = np.arange(260)
+        values = 60.0 + 5.0 * np.sin(2.0 * np.pi * i / 125.0) + rng.normal(0.0, 0.5, 260)
+        self.series = PriceSeries("s", values)
+        self.slow = sliding_trend(self.series, BANK)
+        self.fast = sliding_trend(
+            self.series, build_kernel_bank(EstimatorSpec(degree=2, window=7))
+        )
+        self.track = moment_tracks(self.slow.fluctuation, M=100)
+
+    def test_fields_match_components(self):
+        t, h = 200, 1
+        point = forecast_point(self.slow, self.fast, self.track.std, t, h)
+        assert point.origin == t and point.horizon == h
+        assert point.trend_hat == forecast_trend(self.slow, t, h)
+        track_pos = t - self.slow.warmup - self.track.warmup
+        std_hat, _, _ = forecast_moments(self.track, BANK, track_pos, h)
+        assert point.deadband == 0.1 * std_hat
+        assert (point.lo, point.hi) == confidence_band(point.trend_hat, std_hat)
+        price_hat = forecast_trend(self.fast, t, h)
+        assert point.position == classify_position(
+            price_hat, point.trend_hat, point.deadband
+        )
+
+    def test_band_ordering(self):
+        point = forecast_point(self.slow, self.fast, self.track.std, 210, 5)
+        assert point.lo <= point.trend_hat <= point.hi
+        assert point.level == 0.95
+
+    def test_distinct_sources_rejected(self):
+        other = sliding_trend(
+            PriceSeries("other", self.series.values.copy()),
+            build_kernel_bank(EstimatorSpec(degree=2, window=7)),
+        )
+        with pytest.raises(ValueError, match="share one source"):
+            forecast_point(self.slow, other, self.track.std, 200, 1)
+
+    def test_insufficient_history_rejected(self):
+        # first admissible origin needs slow warm-up, M, and a track window
+        t_min = 2 * self.slow.warmup + self.track.warmup
+        forecast_point(self.slow, self.fast, self.track.std, t_min, 1)
+        with pytest.raises(ValueError):
+            forecast_point(self.slow, self.fast, self.track.std, t_min - 1, 1)
+
+    def test_negative_deadband_mult_rejected(self):
+        with pytest.raises(ValueError, match="deadband_mult must be >= 0"):
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=-0.1)
+        with pytest.raises(ValueError, match="deadband_mult must be >= 0, got nan"):
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("nan"))
+        with pytest.raises(ValueError, match="deadband_mult must be finite, got inf$"):
+            forecast_point(self.slow, self.fast, self.track.std, 200, 1, deadband_mult=float("inf"))
+
+
 def string_rule(price_hat, trend_hat, deadband):
     """The nested np.where rule classify_position was first written as."""
     diff = price_hat - trend_hat
@@ -297,6 +352,17 @@ class TestForecastOrigins:
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    def test_origin_is_the_callers_t(self):
+        for t in (self.t_min, np.uint64(self.t_min), np.arange(self.t_min, self.t_min + 3, dtype=np.uint8)):
+            assert forecast_point(self.slow, self.fast, self.track.std, t, 1).origin is t
+
+    @pytest.mark.parametrize("name", ["forecast_point", "forecast_trend", "forecast_moments"])
+    def test_unsigned_past_int64_rejected(self, name):
+        # 2**63 would wrap to a negative int64 and be reported as that
+        t = np.array([self.t_min, 2**63], dtype=np.uint64)
+        with pytest.raises(ValueError, match=r"^t must be below 2\*\*63, got 9223372036854775808$"):
+            self.call(name, t)
 
     def test_one_sample_short_names_the_history(self):
         short = np.array([self.t_min - 1, self.t_min], dtype=np.uint64)
