@@ -11,10 +11,10 @@ algebraic (annihilator) estimators have q_v = (1-u)^(kappa-1) p_v with
 deg p_v <= N: p_v is the dual basis of the monomials under the Beta weight
 (1-u)^(kappa-1), a Jacobi family (Mboup, Join & Fliess, "Numerical
 differentiation with annihilators in noisy environment", Numer. Algorithms
-2009). In that space the N+1 reproducing conditions have exactly one
-solution, since their matrix is the Gram matrix of a positive weight. The
-densities are solved in exact rational arithmetic, discretized on the W
-sample offsets, and the discrete weights are then projected onto the
+2009), whose expansion in the Jacobi polynomials orthogonal under that
+weight has integer coefficients. The densities are evaluated on the W
+sample offsets by Horner's rule (a spec whose Horner error bound is too
+large is rejected), and the discrete weights are then projected onto the
 affine set of weight sequences that reproduce monomials up to degree N
 exactly (minimum-norm correction), so discrete exactness is tight.
 
@@ -24,8 +24,8 @@ sample (the window's right edge).
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from .series_io import emit_table
 
 _COND_LIMIT = 1e12
+_HORNER_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,12 @@ class EstimatorSpec:
             raise ValueError(f"smoothing must be an integer >= 1, got {self.smoothing!r}")
 
 
+def _check_order(order: int, degree: int) -> None:
+    # bool is an int subclass, and a float cannot index the weights tuple
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or not 0 <= order <= degree:
+        raise ValueError(f"order must be in 0..{degree}, got {order!r}")
+
+
 @dataclass(frozen=True)
 class KernelBank:
     """Weight sequences w_0 .. w_N for one EstimatorSpec.
@@ -88,8 +95,7 @@ class KernelBank:
     def slide(self, values: np.ndarray, order: int) -> np.ndarray:
         """Apply the order-th kernel to every W-sample window: entry a estimates
         the order-th derivative at sample a + W - 1 from values[a : a + W]."""
-        if not 0 <= order <= self.spec.degree:
-            raise ValueError(f"order must be in 0..{self.spec.degree}, got {order}")
+        _check_order(order, self.spec.degree)
         values = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < self.spec.window:
             raise ValueError(f"expected at least {self.spec.window} samples, got shape {values.shape}")
@@ -114,38 +120,27 @@ class KernelBank:
         return float(self.slide(values, order)[0])
 
 
-def _density_polynomials(degree: int, smoothing: int) -> list[list[Fraction]]:
-    """Exact-rational density polynomials q_0 .. q_N on u in [0, 1].
+def _density_polynomials(degree: int, smoothing: int) -> list[list[int]]:
+    """Integer density polynomials q_0 .. q_N on u in [0, 1].
 
-    q_v = (1-u)^(kappa-1) p_v, where the coefficients c_v of p_v (degree
-    <= N) solve G c_v = v! e_v for the Gram matrix of the Beta weight,
-    G[i][j] = integral_0^1 u^(i+j) (1-u)^(kappa-1) du
-            = (i+j)! (kappa-1)! / (i+j+kappa)!.
+    q_v = (1-u)^(kappa-1) p_v with p_v = v! sum_{j=v..N} (2j+kappa) r_j[v] R_j,
+    since the shifted Jacobi polynomials
+    R_j(u) = sum_s C(j+kappa-1, j-s) C(j, s) (u-1)^s u^(j-s) are orthogonal
+    under (1-u)^(kappa-1) with squared norm 1/(2j+kappa). R_j has the u^i
+    coefficient r_j[i] = (-1)^(j+i) C(j, i) C(j+i+kappa-1, i).
     """
     n, k = degree, smoothing
-    # Gauss-Jordan on [G | diag(v!)]; G is positive definite, so every
-    # pivot on the diagonal is nonzero and no row exchange is needed.
-    rows = [
-        [Fraction(factorial(i + j) * factorial(k - 1), factorial(i + j + k)) for j in range(n + 1)]
-        + [Fraction(factorial(i) if j == i else 0) for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    for col in range(n + 1):
-        pivot = rows[col][col]
-        rows[col] = [x / pivot for x in rows[col]]
-        for r in range(n + 1):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-
+    r = [[(-1) ** (j + i) * comb(j, i) * comb(j + i + k - 1, i) for i in range(n + 1)]
+         for j in range(n + 1)]
     # Multiply each p_v by the binomial expansion of (1-u)^(kappa-1).
     weight = [(-1) ** j * comb(k - 1, j) for j in range(k)]
     qs = []
     for v in range(n + 1):
-        q = [Fraction(0)] * (n + k)
+        q = [0] * (n + k)
         for i in range(n + 1):
+            c = factorial(v) * sum((2 * j + k) * r[j][v] * r[j][i] for j in range(v, n + 1))
             for j, b in enumerate(weight):
-                q[i + j] += rows[i][n + 1 + v] * b
+                q[i + j] += c * b
         qs.append(q)
     return qs
 
@@ -160,8 +155,9 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     every derivative order to machine precision.
 
     Raises:
-        ValueError: spec invalid, or the exactness system is too
-            ill-conditioned to solve reliably.
+        ValueError: spec invalid, the exactness system is too
+            ill-conditioned to solve reliably, or the densities' Horner
+            error bound, relative to their largest sample, is above 1e-4.
     """
     n, w = spec.degree, spec.window
     dt = spec.spacing
@@ -182,16 +178,28 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
             f"window {w}"
         )
 
-    # the exact solve grows fast with the degree: only for a spec that passed
-    qs = _density_polynomials(n, spec.smoothing)
+    # the densities take O(N^3) big-integer products: only for a spec that passed
+    k = spec.smoothing
+    qs = _density_polynomials(n, k)
+    inaccurate = (f"densities too inaccurate in floating point for degree {n}, smoothing {k} "
+                  f"(Horner error bound above {_HORNER_TOL:g})")
     weights = []
     for v in range(n + 1):
+        # Horner on |c_i| stays finite below this, and so does Horner on c_i
+        if len(qs[v]) * max(map(abs, qs[v])) > sys.float_info.max / 2:
+            raise ValueError(inaccurate)
         # Horner's rule in the order numpy.polynomial's polyval runs it,
-        # without importing that package
+        # without importing that package; `total` runs it on |c_i|, and
+        # gamma_2m * total bounds its error (Higham 2002, section 5.1)
         coeffs = [float(c) for c in qs[v]]
         density = coeffs[-1] + u * 0
+        total = abs(coeffs[-1]) + u * 0
         for c in reversed(coeffs[:-1]):
             density = c + density * u
+            total = abs(c) + total * u
+        ku = 2 * (len(coeffs) - 1) * 2.0**-53  # gamma_k = k u / (1 - k u)
+        if not ku / (1 - ku) * total.max() <= _HORNER_TOL * np.abs(density).max():
+            raise ValueError(inaccurate)
         raw = ((-1.0) ** v) * density * du / horizon**v
         rhs = np.zeros(n + 1)
         rhs[v] = factorial(v) / horizon**v
@@ -227,8 +235,7 @@ def kernel_noise_gain(bank: KernelBank, order: int) -> float:
     window samples, the estimator output noise has standard deviation
     exactly gain * s.
     """
-    if not 0 <= order <= bank.spec.degree:
-        raise ValueError(f"order must be in 0..{bank.spec.degree}, got {order}")
+    _check_order(order, bank.spec.degree)
     return float(np.linalg.norm(bank.weights[order]))
 
 

@@ -104,6 +104,20 @@ class TestDecompose:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.glob("prices_*")) == []
 
+    @pytest.mark.parametrize("smoothing", ["100", "1100"])
+    def test_smoothing_too_large_for_float_densities_exits_2(self, noisy_csv, tmp_path, capsys,
+                                                              smoothing):
+        # unchecked, Horner's cancellation at 100 puts |fluctuation| near
+        # 3.7e16 on prices near 100, and at 1100 float() of a density
+        # coefficient overflows
+        rc = main(["decompose", "--input", str(noisy_csv), "--smoothing", smoothing,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: densities too inaccurate in floating point for degree 2, "
+                       f"smoothing {smoothing} (Horner error bound above 0.0001)\n")
+        assert list(tmp_path.glob("prices_*")) == []
+
 
 class TestMoments:
     def test_moments_csv(self, noisy_csv, tmp_path):
@@ -344,6 +358,9 @@ class TestImportPath:
             assert "numpy.ma" not in sys.modules
             assert "numpy.polynomial" not in sys.modules
             assert "concurrent.futures" not in sys.modules
+            # the kernel densities are integers, no longer exact rationals
+            assert "fractions" not in sys.modules
+            assert "decimal" not in sys.modules
             argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
             assert trendlab.cli.main(argv) == 0
         """)

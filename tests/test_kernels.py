@@ -2,6 +2,7 @@
 import math
 import re
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -97,6 +98,83 @@ class TestDensityPolynomials:
     )
     def test_quadratic_densities_pinned(self, smoothing, want):
         assert _density_polynomials(2, smoothing) == [[Fraction(c) for c in q] for q in want]
+
+
+def gauss_jordan_densities(degree: int, smoothing: int) -> list[list[Fraction]]:
+    """The densities as the bank once solved them: the Gram system of the
+    Beta weight by Gauss-Jordan elimination in exact rationals.
+
+    q_v = (1-u)^(kappa-1) p_v, where the coefficients c_v of p_v (degree
+    <= N) solve G c_v = v! e_v for the Gram matrix of the Beta weight,
+    G[i][j] = integral_0^1 u^(i+j) (1-u)^(kappa-1) du
+            = (i+j)! (kappa-1)! / (i+j+kappa)!.
+    """
+    n, k = degree, smoothing
+    # Gauss-Jordan on [G | diag(v!)]; G is positive definite, so every
+    # pivot on the diagonal is nonzero and no row exchange is needed.
+    rows = [
+        [Fraction(factorial(i + j) * factorial(k - 1), factorial(i + j + k)) for j in range(n + 1)]
+        + [Fraction(factorial(i) if j == i else 0) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+    for col in range(n + 1):
+        pivot = rows[col][col]
+        rows[col] = [x / pivot for x in rows[col]]
+        for r in range(n + 1):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+
+    # Multiply each p_v by the binomial expansion of (1-u)^(kappa-1).
+    weight = [(-1) ** j * comb(k - 1, j) for j in range(k)]
+    qs = []
+    for v in range(n + 1):
+        q = [Fraction(0)] * (n + k)
+        for i in range(n + 1):
+            for j, b in enumerate(weight):
+                q[i + j] += rows[i][n + 1 + v] * b
+        qs.append(q)
+    return qs
+
+
+class TestClosedFormDensities:
+    @pytest.mark.parametrize("degree", range(17))
+    def test_equal_to_the_gauss_jordan_solve(self, degree):
+        for smoothing in range(1, 8):
+            got = _density_polynomials(degree, smoothing)
+            want = gauss_jordan_densities(degree, smoothing)
+            assert [len(q) for q in got] == [len(q) for q in want], smoothing
+            assert got == want, smoothing
+            assert all(type(c) is int for q in got for c in q), smoothing
+
+
+class TestHornerBound:
+    @pytest.mark.parametrize("degree, smoothing", [(2, 27), (2, 60), (2, 100), (4, 21), (0, 300)])
+    def test_inaccurate_densities_rejected(self, degree, smoothing):
+        # Horner on the alternating monomial coefficients cancels: at N=2,
+        # W=21, kappa=60 the densities were off by 4e3 relative, and the
+        # exactness check passed those weights anyway
+        message = (rf"^densities too inaccurate in floating point for degree {degree}, "
+                   rf"smoothing {smoothing} \(Horner error bound above 0.0001\)$")
+        for window in (degree + 2, 21, 121):
+            with pytest.raises(ValueError, match=message):
+                build_kernel_bank(EstimatorSpec(degree=degree, window=window, smoothing=smoothing))
+
+    def test_coefficients_past_the_float_range_rejected_before_float(self):
+        # C(1099, 549) > 2**1024: float() would raise OverflowError
+        assert max(abs(c) for c in _density_polynomials(2, 1100)[0]) > 2**1024
+        with pytest.raises(ValueError, match="degree 2, smoothing 1100 "):
+            build_kernel_bank(EstimatorSpec(degree=2, smoothing=1100))
+
+    @pytest.mark.parametrize("degree, smoothing", [(2, 26), (4, 20)])
+    def test_largest_accepted_smoothing(self, degree, smoothing):
+        build_kernel_bank(EstimatorSpec(degree=degree, window=21, smoothing=smoothing))
+
+    def test_small_specs_accepted(self):
+        for degree in range(9):
+            for window in sorted({degree + 2, 21, 500}):
+                for smoothing in range(1, 8):
+                    build_kernel_bank(EstimatorSpec(degree=degree, window=window, smoothing=smoothing))
 
 
 class TestGoldenWeights:
@@ -270,6 +348,13 @@ class TestNoiseGain:
         with pytest.raises(ValueError, match="order must be in 0..1"):
             kernel_noise_gain(bank, 2)
 
+    @pytest.mark.parametrize("order", [True, False, 1.0, 0.0, "1"])
+    def test_order_not_an_integer_rejected(self, order):
+        # True would read the order-1 weights, 1.0 would fail to index them
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
+        with pytest.raises(ValueError, match=rf"^order must be in 0..1, got {re.escape(repr(order))}$"):
+            kernel_noise_gain(bank, order)
+
 
 class TestConditioning:
     def test_ill_conditioned_build_rejected(self):
@@ -305,6 +390,21 @@ class TestBankInterface:
         bank = build_kernel_bank(EstimatorSpec(degree=0, window=4))
         with pytest.raises(ValueError, match="order must be in 0..0"):
             bank.estimate(np.zeros(4), 1)
+
+    @pytest.mark.parametrize("order", [True, False, 1.0, 0.0, "1"])
+    def test_slide_and_estimate_reject_an_order_that_is_not_an_integer(self, order):
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
+        message = rf"^order must be in 0..1, got {re.escape(repr(order))}$"
+        with pytest.raises(ValueError, match=message):
+            bank.slide(np.zeros(9), order)
+        with pytest.raises(ValueError, match=message):
+            bank.estimate(np.zeros(5), order)
+
+    def test_numpy_integer_order_accepted(self):
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
+        values = np.arange(5.0)
+        assert bank.estimate(values, np.int64(1)) == bank.estimate(values, 1)
+        assert kernel_noise_gain(bank, np.int64(1)) == kernel_noise_gain(bank, 1)
 
     def test_slide_rejects_short_input_and_bad_order(self):
         bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
