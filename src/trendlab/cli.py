@@ -26,7 +26,8 @@ import numpy as np
 from . import __version__
 from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
 from .decompose import (
-    check_threshold, emit_decomposition, oscillation_score, oscillation_verdict, sliding_trend,
+    check_threshold, check_window, emit_decomposition, oscillation_score, oscillation_verdict,
+    sliding_trend,
 )
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
@@ -109,8 +110,9 @@ def _config(args: argparse.Namespace) -> BacktestConfig:
 def _cmd_decompose(args: argparse.Namespace) -> list[str]:
     check_threshold(args.oscillation_threshold)  # before the load, the slide and the scan
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    bank = build_kernel_bank(_slow_spec(args))
-    dec = sliding_trend(series, bank)
+    spec = _slow_spec(args)
+    check_window(len(series), spec.window)  # before the build, whose cost grows with W
+    dec = sliding_trend(series, build_kernel_bank(spec))
     report = oscillation_score(
         dec.fluctuation,
         min_window=args.oscillation_min_window,
@@ -120,9 +122,9 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
     kv = emit_kv([
         ("series", series.name),
         ("samples", len(series)),
-        ("window", bank.spec.window),
-        ("degree", bank.spec.degree),
-        ("smoothing", bank.spec.smoothing),
+        ("window", spec.window),
+        ("degree", spec.degree),
+        ("smoothing", spec.smoothing),
         ("score", report.score),
         ("scale", report.scale),
         ("min_window", report.min_window),
@@ -137,12 +139,12 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
 
 def _cmd_moments(args: argparse.Namespace) -> list[str]:
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    bank = build_kernel_bank(_slow_spec(args))
+    spec = _slow_spec(args)
     # W - 1 samples of trend warm-up, then M + 1 for the first window
-    need = bank.spec.window + args.moment_window
+    need = spec.window + args.moment_window
     if len(series) < need:
         raise ValueError(f"series too short: need at least {need} samples, got {len(series)}")
-    dec = sliding_trend(series, bank)
+    dec = sliding_trend(series, build_kernel_bank(spec))
     track = moment_tracks(dec.fluctuation, args.moment_window)
     text = emit_moments(track, dates=series.dates, offset=dec.warmup)
     return _emit_all(args.out_dir, {f"{series.name}_moments.csv": text})

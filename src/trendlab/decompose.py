@@ -98,8 +98,7 @@ def sliding_trend(series: PriceSeries, bank: KernelBank) -> Decomposition:
     """
     w = bank.spec.window
     values = series.values
-    if len(values) < w:
-        raise ValueError(f"series has {len(values)} samples, window needs {w}")
+    check_window(len(values), w)
 
     def track(order: int) -> np.ndarray:
         out = bank.slide(values, order)
@@ -127,6 +126,12 @@ def sliding_trend(series: PriceSeries, bank: KernelBank) -> Decomposition:
     )
 
 
+def check_window(samples: int, window: int) -> None:
+    """Reject a series of fewer samples than the window."""
+    if samples < window:
+        raise ValueError(f"series has {samples} samples, window needs {window}")
+
+
 def oscillation_score(
     fluctuation: np.ndarray,
     min_window: int = 10,
@@ -151,6 +156,7 @@ def oscillation_score(
         raise ValueError(f"min_window must be an integer, got {min_window!r}")
     if not 1 <= min_window <= n:
         raise ValueError(f"min_window must be in 1..{n}, got {min_window}")
+    check_threshold(threshold)  # before the scan
 
     scale = float(np.mean(np.abs(source.values))) if source is not None else 1.0
     prefix = np.concatenate(([0.0], np.cumsum(fluct)))

@@ -2,23 +2,24 @@
 
 Paths follow the exact log-space update, so the marginal law at every
 grid time is exact and the test below measures the process, not the
-integrator. One routine draws each block of rows into the array that
-keeps it, and one integrates the residual about the mean trend s0 e^(mu t).
+integrator. One routine draws rows into the array that keeps them, and
+one integrates the residual about the mean trend s0 e^(mu t).
 The oscillation test asks how often that integral exceeds a threshold:
 a residual that were quickly fluctuating would make it rare.
 
 Rows are split into contiguous spans, one thread per CPU (_spans.run_spans).
 Each span draws from its own copy of the one PCG64 stream, advanced to the
 span's first row, so every row gets the same normals for any thread count.
-Blocks hold at most _CHUNK_VALUES normals across all threads, and a block's
-normals pass through a stage a few rows at a time, each group cumulated
-into its rows before the next is drawn. simulate_paths writes its blocks
-into the result and keeps one stage of _STAGE_VALUES normals per thread:
-512 KiB each beside the result. oscillation_probability keeps a block of
-prices and a stage as large as the block, 8 MiB of each per call. Both
-bounds hold for any number of paths, not for any length of row: a block
-or a stage holds at least one row, so the 8 MiB bound fails once steps >
-2^20, and the 512 KiB one once steps > 2^16.
+The normals pass through a stage a few rows at a time, each group
+cumulated into its rows before the next is drawn. simulate_paths draws
+each span straight into its rows of the result and keeps one stage of
+_STAGE_VALUES normals per thread: 512 KiB each beside the result.
+oscillation_probability streams each span through a reused block of
+prices, blocks holding at most _CHUNK_VALUES normals across all threads,
+and a stage as large as the block: 8 MiB of each per call. Both bounds
+hold for any number of paths, not for any length of row: a block or a
+stage holds at least one row, so the 8 MiB bound fails once steps > 2^20,
+and the 512 KiB one once steps > 2^16.
 The mean trend and the step widths are computed once per GbmParams.
 """
 from __future__ import annotations
@@ -196,15 +197,14 @@ def _residual_integrals(prices: np.ndarray, params: GbmParams, terms: np.ndarray
         return terms.sum(axis=-1)
 
 
-def _split(params: GbmParams) -> list[tuple[np.random.Generator, range, int]]:
-    """The ensemble's rows as run_spans takes them: (rng, span, rows) per
-    span of split_rows, each span at least _SPAN_VALUES normals.
+def _split(params: GbmParams) -> list[tuple[np.random.Generator, range]]:
+    """The ensemble's rows as run_spans takes them: (rng, span) per span of
+    split_rows, each span at least _SPAN_VALUES normals.
 
     rng is the one PCG64 stream of params.seed advanced to the span's first
     row: row r begins at stream position r * steps (one uint64 per normal),
-    reached in O(log) time. rows, the rows per block, keeps the normals in
-    flight at _CHUNK_VALUES in all. Callers allocate each span's buffers
-    (blocks and stages) before run_spans starts a thread: blocks that worker
+    reached in O(log) time. Callers allocate each span's buffers (blocks
+    and stages) before run_spans starts a thread: blocks that worker
     threads allocate and free stay in the allocator's per-thread arenas,
     which made the peak RSS vary from run to run.
     """
@@ -214,10 +214,8 @@ def _split(params: GbmParams) -> list[tuple[np.random.Generator, range, int]]:
 
     steps = params.steps
     seq = np.random.SeedSequence(params.seed)  # for seed=None, the one entropy draw
-    spans = split_rows(params.paths, -(-_SPAN_VALUES // steps))
-    rows = max(1, _CHUNK_VALUES // len(spans) // steps)
-    return [(np.random.Generator(np.random.PCG64(seq).advance(span.start * steps)), span,
-             min(rows, len(span))) for span in spans]
+    return [(np.random.Generator(np.random.PCG64(seq).advance(span.start * steps)), span)
+            for span in split_rows(params.paths, -(-_SPAN_VALUES // steps))]
 
 
 def simulate_paths(params: GbmParams) -> np.ndarray:
@@ -225,21 +223,17 @@ def simulate_paths(params: GbmParams) -> np.ndarray:
 
     Exact log-space update per step:
         S_{k+1} = S_k * exp((mu - sigma^2/2) dt + sigma sqrt(dt) xi).
-    Deterministic given params.seed, and the same for any _CHUNK_VALUES,
-    _STAGE_VALUES and thread count. Each span's normals pass through one
-    stage of _STAGE_VALUES normals (one row, where a row holds more), so
-    the scratch beside the result is 512 KiB per thread, whatever the
-    ensemble size.
+    Deterministic given params.seed, and the same for any _STAGE_VALUES
+    and thread count. Each span is drawn into its rows of the result
+    through one stage of _STAGE_VALUES normals (one row, where a row holds
+    more), so the scratch beside the result is 512 KiB per thread,
+    whatever the ensemble size.
     """
     out = np.empty((params.paths, params.steps + 1))
-
-    def fill(rng: np.random.Generator, span: range, rows: int, stage: np.ndarray) -> None:
-        for lo in range(span.start, span.stop, rows):
-            _draw_rows(rng, params, out[lo:min(lo + rows, span.stop)], stage)
-
-    run_spans([partial(fill, rng, span, rows,
-                       np.empty((max(1, min(rows, _STAGE_VALUES // params.steps)), params.steps)))
-               for rng, span, rows in _split(params)])
+    stage_rows = max(1, _STAGE_VALUES // params.steps)
+    run_spans([partial(_draw_rows, rng, params, out[span.start:span.stop],
+                       np.empty((min(stage_rows, len(span)), params.steps)))
+               for rng, span in _split(params)])
     return out
 
 
@@ -283,9 +277,12 @@ def oscillation_probability(params: GbmParams, epsilon: float) -> ResidualStat:
             exceed += int(np.count_nonzero(np.abs(integrals) > epsilon))
         return exceed
 
+    splits = _split(params)
+    rows = max(1, _CHUNK_VALUES // len(splits) // params.steps)  # per block, _CHUNK_VALUES in all
     exceed = sum(run_spans([
-        partial(count, rng, span, np.empty((rows, params.steps + 1)), np.empty((rows, params.steps)))
-        for rng, span, rows in _split(params)
+        partial(count, rng, span, np.empty((min(rows, len(span)), params.steps + 1)),
+                np.empty((min(rows, len(span)), params.steps)))
+        for rng, span in splits
     ]))
     p_hat = exceed / params.paths
     stderr = sqrt(p_hat * (1.0 - p_hat) / params.paths)

@@ -12,11 +12,15 @@ deg p_v <= N: p_v is the dual basis of the monomials under the Beta weight
 (1-u)^(kappa-1), a Jacobi family (Mboup, Join & Fliess, "Numerical
 differentiation with annihilators in noisy environment", Numer. Algorithms
 2009), whose expansion in the Jacobi polynomials orthogonal under that
-weight has integer coefficients. The densities are evaluated on the W
-sample offsets by Horner's rule (a spec whose Horner error bound is too
-large is rejected), and the discrete weights are then projected onto the
-affine set of weight sequences that reproduce monomials up to degree N
-exactly (minimum-norm correction), so discrete exactness is tight.
+weight has integer coefficients. Each density is evaluated on the W
+sample offsets as the product (1-u)^(kappa-1) * p_v(u), p_v by Horner's
+rule; the weight is never expanded into monomials, whose alternating
+coefficients cancel in floating point. A spec whose error bound is too
+large is rejected, which the degree brings about (N = 15 at W = 18), not
+kappa. The order-0 noise gain grows with kappa / W (kernel_noise_gain
+reports it). The discrete weights are then projected onto the affine set
+of weight sequences that reproduce monomials up to degree N exactly
+(minimum-norm correction), so discrete exactness is tight.
 
 Weights are causal: weight j multiplies the sample at offset
 tau_j = (j - W + 1) * spacing, and the estimate refers to the newest
@@ -121,28 +125,18 @@ class KernelBank:
 
 
 def _density_polynomials(degree: int, smoothing: int) -> list[list[int]]:
-    """Integer density polynomials q_0 .. q_N on u in [0, 1].
+    """Integer coefficients of p_0 .. p_N, where q_v = (1-u)^(kappa-1) p_v.
 
-    q_v = (1-u)^(kappa-1) p_v with p_v = v! sum_{j=v..N} (2j+kappa) r_j[v] R_j,
-    since the shifted Jacobi polynomials
-    R_j(u) = sum_s C(j+kappa-1, j-s) C(j, s) (u-1)^s u^(j-s) are orthogonal
-    under (1-u)^(kappa-1) with squared norm 1/(2j+kappa). R_j has the u^i
-    coefficient r_j[i] = (-1)^(j+i) C(j, i) C(j+i+kappa-1, i).
+    p_v = v! sum_{j=v..N} (2j+kappa) r_j[v] R_j, since the shifted Jacobi
+    polynomials R_j(u) = sum_s C(j+kappa-1, j-s) C(j, s) (u-1)^s u^(j-s) are
+    orthogonal under (1-u)^(kappa-1) with squared norm 1/(2j+kappa). R_j has
+    the u^i coefficient r_j[i] = (-1)^(j+i) C(j, i) C(j+i+kappa-1, i).
     """
     n, k = degree, smoothing
     r = [[(-1) ** (j + i) * comb(j, i) * comb(j + i + k - 1, i) for i in range(n + 1)]
          for j in range(n + 1)]
-    # Multiply each p_v by the binomial expansion of (1-u)^(kappa-1).
-    weight = [(-1) ** j * comb(k - 1, j) for j in range(k)]
-    qs = []
-    for v in range(n + 1):
-        q = [0] * (n + k)
-        for i in range(n + 1):
-            c = factorial(v) * sum((2 * j + k) * r[j][v] * r[j][i] for j in range(v, n + 1))
-            for j, b in enumerate(weight):
-                q[i + j] += c * b
-        qs.append(q)
-    return qs
+    return [[factorial(v) * sum((2 * j + k) * r[j][v] * r[j][i] for j in range(v, n + 1))
+             for i in range(n + 1)] for v in range(n + 1)]
 
 
 def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
@@ -156,8 +150,9 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
 
     Raises:
         ValueError: spec invalid, the exactness system is too
-            ill-conditioned to solve reliably, or the densities' Horner
-            error bound, relative to their largest sample, is above 1e-4.
+            ill-conditioned to solve reliably, or the densities' error
+            bound (Horner's on p_v and the weight's rounding), relative to
+            their largest sample, is above 1e-4.
     """
     n, w = spec.degree, spec.window
     dt = spec.spacing
@@ -180,25 +175,36 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
 
     # the densities take O(N^3) big-integer products: only for a spec that passed
     k = spec.smoothing
-    qs = _density_polynomials(n, k)
+    ps = _density_polynomials(n, k)
     inaccurate = (f"densities too inaccurate in floating point for degree {n}, smoothing {k} "
                   f"(Horner error bound above {_HORNER_TOL:g})")
+    # Horner on |c_i| stays finite below this, and so does Horner on c_i
+    if any(len(p) * max(map(abs, p)) > sys.float_info.max / 2 for p in ps):
+        raise ValueError(inaccurate)
+    # (1-u)^(kappa-1) by square-and-multiply: a product rounds alike at
+    # every SIMD dispatch level, numpy's power may not
+    weight, base, e = 1.0 + u * 0, 1.0 - u, k - 1
+    while e:
+        if e & 1:
+            weight = weight * base
+        base, e = base * base, e >> 1
+    # gamma_k = k u / (1 - k u) with k = 2N for Horner (Higham 2002, section
+    # 5.1) plus 2(kappa-1) for the weight: kappa-1 from the rounded base,
+    # kappa-2 from its products and one from q = w p
+    ku = 2 * (n + k - 1) * 2.0**-53
     weights = []
     for v in range(n + 1):
-        # Horner on |c_i| stays finite below this, and so does Horner on c_i
-        if len(qs[v]) * max(map(abs, qs[v])) > sys.float_info.max / 2:
-            raise ValueError(inaccurate)
         # Horner's rule in the order numpy.polynomial's polyval runs it,
         # without importing that package; `total` runs it on |c_i|, and
-        # gamma_2m * total bounds its error (Higham 2002, section 5.1)
-        coeffs = [float(c) for c in qs[v]]
+        # gamma * weight * total bounds the density's error
+        coeffs = [float(c) for c in ps[v]]
         density = coeffs[-1] + u * 0
         total = abs(coeffs[-1]) + u * 0
         for c in reversed(coeffs[:-1]):
             density = c + density * u
             total = abs(c) + total * u
-        ku = 2 * (len(coeffs) - 1) * 2.0**-53  # gamma_k = k u / (1 - k u)
-        if not ku / (1 - ku) * total.max() <= _HORNER_TOL * np.abs(density).max():
+        density, total = density * weight, total * weight
+        if not (ku < 1 and ku / (1 - ku) * total.max() <= _HORNER_TOL * np.abs(density).max()):
             raise ValueError(inaccurate)
         raw = ((-1.0) ** v) * density * du / horizon**v
         rhs = np.zeros(n + 1)

@@ -105,17 +105,37 @@ class TestDecompose:
         assert list(tmp_path.glob("prices_*")) == []
 
     @pytest.mark.parametrize("smoothing", ["100", "1100"])
-    def test_smoothing_too_large_for_float_densities_exits_2(self, noisy_csv, tmp_path, capsys,
-                                                              smoothing):
-        # unchecked, Horner's cancellation at 100 puts |fluctuation| near
-        # 3.7e16 on prices near 100, and at 1100 float() of a density
-        # coefficient overflows
+    def test_large_smoothing_exits_0_with_finite_output(self, noisy_csv, tmp_path, smoothing):
+        # the expanded densities once cancelled at 100, putting |fluctuation|
+        # near 3.7e16 on prices near 60, and overflowed float() at 1100
+        rc = main(["decompose", "--input", str(noisy_csv), "--smoothing", smoothing,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "prices_decomposition.csv").read_text().strip().splitlines()[1:]
+        cells = np.array([[float(c) for c in row.split(",")[2:]] for row in rows])
+        assert len(rows) == 280 and np.isfinite(cells).all()
+        # order-0 noise gains 12.3 and 133 on noise of std 0.5, not 3.7e16
+        assert np.abs(cells[:, 0] - cells[:, 1]).max() < 1e3
+
+    def test_smoothing_past_the_float_range_exits_2(self, noisy_csv, tmp_path, capsys):
+        smoothing = str(10**200)
         rc = main(["decompose", "--input", str(noisy_csv), "--smoothing", smoothing,
                    "--out-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err == (f"error: densities too inaccurate in floating point for degree 2, "
                        f"smoothing {smoothing} (Horner error bound above 0.0001)\n")
+        assert list(tmp_path.glob("prices_*")) == []
+
+    def test_window_checked_against_the_file_before_the_build(self, noisy_csv, tmp_path, capsys,
+                                                               monkeypatch):
+        # a bank of 2,000,000 weights once took 1.3 s and 305 MB to build
+        # before this message
+        monkeypatch.setattr("trendlab.cli.build_kernel_bank", never_called)
+        rc = main(["decompose", "--input", str(noisy_csv), "--window", "2000000",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: series has 300 samples, window needs 2000000\n"
         assert list(tmp_path.glob("prices_*")) == []
 
 
@@ -139,6 +159,17 @@ class TestMoments:
         rc = main(["moments", "--input", str(noisy_csv), "--moment-window", str(m), "--out-dir", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == f"error: series too short: need at least {21 + m} samples, got 300\n"
+        assert list(tmp_path.glob("prices_*")) == []
+
+    @pytest.mark.parametrize("window, m", [("2000000", "100"), ("21", "2000000")])
+    def test_lengths_checked_before_the_build(self, window, m, noisy_csv, tmp_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setattr("trendlab.cli.build_kernel_bank", never_called)
+        rc = main(["moments", "--input", str(noisy_csv), "--window", window, "--moment-window", m,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 2
+        need = int(window) + int(m)
+        assert capsys.readouterr().err == f"error: series too short: need at least {need} samples, got 300\n"
         assert list(tmp_path.glob("prices_*")) == []
 
     def test_longest_moment_window_leaves_one_row(self, noisy_csv, tmp_path):
@@ -374,7 +405,8 @@ class TestImportPath:
 
 
 def _run_every_subcommand(src, out, env):
-    """Run the five subcommands on src in one child process with env."""
+    """Run the five subcommands on src in one child process with env, and
+    decompose and backtest again at --smoothing 5 into out/smoothing-5."""
     script = textwrap.dedent("""
         import sys
         import trendlab.cli
@@ -382,6 +414,9 @@ def _run_every_subcommand(src, out, env):
         for cmd in ("decompose", "moments", "forecast", "backtest"):
             assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
         assert trendlab.cli.main(["gbm", "--out-dir", out]) == 0
+        for cmd in ("decompose", "backtest"):
+            argv = [cmd, "--input", src, "--smoothing", "5", "--out-dir", out + "/smoothing-5"]
+            assert trendlab.cli.main(argv) == 0
     """)
     run = subprocess.run(
         [sys.executable, "-c", script, str(src), str(out)],
@@ -396,7 +431,9 @@ def test_outputs_do_not_depend_on_the_numpy_dispatch_level(tmp_path):
     # NPY_DISABLE_CPU_FEATURES keeps numpy off its AVX-512 loops (on a host
     # without AVX-512 it changes nothing). moment_tracks forms its powers by
     # multiplication, not numpy's pow, whose last bits on negative bases
-    # depend on the level, so every file matches byte for byte.
+    # depend on the level, and so do the kernel weights (1-u)^(kappa-1),
+    # which --smoothing 5 makes real products; every file matches byte for
+    # byte.
     i = np.arange(2000)
     src = write_price_csv(tmp_path / "prices.csv", 100 + 5 * np.sin(i / 40) + i * 7919 % 101 / 50)
     env = {k: v for k, v in os.environ.items()
@@ -405,8 +442,9 @@ def test_outputs_do_not_depend_on_the_numpy_dispatch_level(tmp_path):
     _run_every_subcommand(src, native, env)
     _run_every_subcommand(src, levelled, {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
 
-    names = sorted(p.name for p in native.iterdir())
-    assert names == sorted(p.name for p in levelled.iterdir()) and len(names) == 7
+    names = sorted(str(p.relative_to(native)) for p in native.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(levelled)) for p in levelled.rglob("*") if p.is_file())
+    assert len(names) == 11
     for name in names:
         assert (native / name).read_bytes() == (levelled / name).read_bytes(), name
 
@@ -541,7 +579,7 @@ def cli_flags(draw):
     degree, window = draw(st.sampled_from([*kernels, (300, 400)]))
     argv += [f"--{name}={value}" for name, value in (("degree", degree), ("window", window))
              if value is not None]
-    flag("smoothing", [*_COUNTS, 3])
+    flag("smoothing", [*_COUNTS, 3, 100, 10**200])
     if sub == "decompose":
         flag("oscillation-min-window", [*_COUNTS, _ROWS, _ROWS + 1])
         flag("oscillation-threshold", _FLOATS)

@@ -191,6 +191,22 @@ class TestOscillationScore:
         with pytest.raises(ValueError, match="threshold must be finite, got inf$"):
             oscillation_score(np.zeros(5), min_window=2, threshold=float("inf"))
 
+    @pytest.mark.parametrize("threshold, message", [
+        (float("inf"), "threshold must be finite, got inf$"),
+        (float("nan"), "threshold must be >= 0, got nan$"),
+    ])
+    def test_threshold_checked_before_the_scan(self, threshold, message):
+        # the scale and the prefix sums come after the check: a source the
+        # scan would read is never touched
+        class Untouched:
+            @property
+            def values(self):
+                raise AssertionError("source read before the threshold was checked")
+
+        with pytest.raises(ValueError, match=message):
+            oscillation_score(np.zeros(20_000), min_window=5000, threshold=threshold,
+                              source=Untouched())
+
 
 class TestEmitDecomposition:
     def test_rows_reconstruct_source(self):

@@ -1,6 +1,7 @@
 """Kernel bank construction: exactness, golden weights, noise gains."""
 import math
 import re
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -62,32 +63,94 @@ class TestEstimatorSpec:
                 EstimatorSpec(smoothing=flag)
 
 
+def expand(p: list[int], smoothing: int) -> list[int]:
+    """The monomial coefficients of (1-u)^(kappa-1) p(u), in exact integers."""
+    q = [0] * (len(p) + smoothing - 1)
+    for i, c in enumerate(p):
+        for j in range(smoothing):
+            q[i + j] += c * (-1) ** j * comb(smoothing - 1, j)
+    return q
+
+
+def square_and_multiply(base: np.ndarray, e: int) -> np.ndarray:
+    """base**e by the binary powering of build_kernel_bank, products only."""
+    out = 1.0 + base * 0
+    while e:
+        if e & 1:
+            out = out * base
+        base, e = base * base, e >> 1
+    return out
+
+
+def polyval_densities(spec: EstimatorSpec) -> list[np.ndarray]:
+    """The densities q_v(u_j) = (1-u_j)^(kappa-1) p_v(u_j) on the bank's
+    window times, p_v evaluated by numpy.polynomial's polyval."""
+    w = spec.window
+    u = (w - 1 - np.arange(w)) / (w - 1)
+    weight = square_and_multiply(1.0 - u, spec.smoothing - 1)
+    return [np.polynomial.polynomial.polyval(u, np.array([float(c) for c in p])) * weight
+            for p in _density_polynomials(spec.degree, spec.smoothing)]
+
+
+def exact_densities(spec: EstimatorSpec) -> list[list[Fraction]]:
+    """q_v(u_j) in exact rationals at the bank's (rounded) window times u_j.
+
+    A factor (1-u_j)^(kappa-1) below 2^-2000 is taken as 0: the sample is
+    then below 2^-2000 * 2^1024 in size, far under any tolerance used here.
+    """
+    w, k = spec.window, spec.smoothing
+    u = [Fraction(float(x)) for x in (w - 1 - np.arange(w)) / (w - 1)]
+    factors = [Fraction(0) if 0 < 1 - x and (k - 1) * -math.log2(1 - x) > 2000 else (1 - x) ** (k - 1)
+               for x in u]
+    return [[f * sum(c * x**i for i, c in enumerate(p)) if f else Fraction(0)
+             for f, x in zip(factors, u)]
+            for p in _density_polynomials(spec.degree, k)]
+
+
+def density_error(spec: EstimatorSpec) -> float:
+    """Largest error of polyval_densities against exact_densities, relative
+    to the largest exact sample of the same order."""
+    worst = 0.0
+    for got, want in zip(polyval_densities(spec), exact_densities(spec)):
+        error = max(abs(float(Fraction(float(g)) - x)) for g, x in zip(got, want))
+        worst = max(worst, error / max(abs(float(x)) for x in want))
+    return worst
+
+
 class TestDensityPolynomials:
-    # The three properties below determine q_v uniquely: (b) and (c) put
-    # q_v in (1-u)^(kappa-1) times the polynomials of degree <= N, where
-    # the N+1 conditions (a) form a Gram system of a positive weight.
+    # p_v of degree <= N is pinned by the N+1 conditions (a), a Gram system
+    # of the positive weight (1-u)^(kappa-1); q_v = (1-u)^(kappa-1) p_v
     @settings(max_examples=60, deadline=None)
     @given(degree=st.integers(0, 8), smoothing=st.integers(1, 6))
     def test_densities_pinned_by_reproducing_property(self, degree, smoothing):
-        qs = _density_polynomials(degree, smoothing)
-        assert len(qs) == degree + 1
-        for v, q in enumerate(qs):
-            # (a) integral_0^1 q_v u^d du = v! delta_vd, exactly.
+        ps = _density_polynomials(degree, smoothing)
+        assert len(ps) == degree + 1
+        densities = polyval_densities(EstimatorSpec(degree=degree, window=degree + 2, smoothing=smoothing))
+        for v, p in enumerate(ps):
+            # (a) integral_0^1 (1-u)^(kappa-1) p_v u^d du = v! delta_vd, exactly,
+            # by the Beta integrals B(i+d+1, kappa) = (i+d)! (kappa-1)! / (i+d+kappa)!
             for d in range(degree + 1):
-                got = sum(c * Fraction(1, k + d + 1) for k, c in enumerate(q))
-                assert got == (math.factorial(v) if d == v else 0), (v, d)
-            # (b) degree <= N + kappa - 1, stored as N + kappa coefficients.
-            assert len(q) == degree + smoothing
-            # (c) q_v and its first kappa-2 derivatives vanish at u = 1.
+                got = sum(c * Fraction(factorial(i + d) * factorial(smoothing - 1),
+                                       factorial(i + d + smoothing)) for i, c in enumerate(p))
+                assert got == (factorial(v) if d == v else 0), (v, d)
+            # (b) deg p_v <= N, stored as N + 1 integer coefficients.
+            assert len(p) == degree + 1 and all(type(c) is int for c in p)
+            # (c) q_v and its first kappa-2 derivatives vanish at u = 1, and
+            # the bank's oldest sample, at u = 1, is exactly 0 for kappa >= 2.
+            q = expand(p, smoothing)
             for r in range(smoothing - 1):
                 assert sum(c * math.perm(k, r) for k, c in enumerate(q)) == 0, r
+            if smoothing >= 2:
+                assert densities[v][0] == 0.0, v
 
     @pytest.mark.parametrize(
-        "smoothing, want",
+        "smoothing, want_p, want_q",
         [
-            (1, [[9, -36, 30], [-36, 192, -180], [60, -360, 360]]),
+            (1, [[9, -36, 30], [-36, 192, -180], [60, -360, 360]],
+             [[9, -36, 30], [-36, 192, -180], [60, -360, 360]]),
             (
                 3,
+                [[15, -90, 105], [-90, 780, -1050], [210, -2100, 3150]],
                 [
                     [15, -120, 300, -300, 105],
                     [-90, 960, -2700, 2880, -1050],
@@ -96,8 +159,10 @@ class TestDensityPolynomials:
             ),
         ],
     )
-    def test_quadratic_densities_pinned(self, smoothing, want):
-        assert _density_polynomials(2, smoothing) == [[Fraction(c) for c in q] for q in want]
+    def test_quadratic_densities_pinned(self, smoothing, want_p, want_q):
+        ps = _density_polynomials(2, smoothing)
+        assert ps == want_p
+        assert [expand(p, smoothing) for p in ps] == want_q
 
 
 def gauss_jordan_densities(degree: int, smoothing: int) -> list[list[Fraction]]:
@@ -141,33 +206,61 @@ class TestClosedFormDensities:
     @pytest.mark.parametrize("degree", range(17))
     def test_equal_to_the_gauss_jordan_solve(self, degree):
         for smoothing in range(1, 8):
-            got = _density_polynomials(degree, smoothing)
+            ps = _density_polynomials(degree, smoothing)
+            assert all(type(c) is int for p in ps for c in p), smoothing
+            got = [expand(p, smoothing) for p in ps]
             want = gauss_jordan_densities(degree, smoothing)
             assert [len(q) for q in got] == [len(q) for q in want], smoothing
             assert got == want, smoothing
-            assert all(type(c) is int for q in got for c in q), smoothing
 
 
 class TestHornerBound:
-    @pytest.mark.parametrize("degree, smoothing", [(2, 27), (2, 60), (2, 100), (4, 21), (0, 300)])
-    def test_inaccurate_densities_rejected(self, degree, smoothing):
-        # Horner on the alternating monomial coefficients cancels: at N=2,
-        # W=21, kappa=60 the densities were off by 4e3 relative, and the
-        # exactness check passed those weights anyway
-        message = (rf"^densities too inaccurate in floating point for degree {degree}, "
-                   rf"smoothing {smoothing} \(Horner error bound above 0.0001\)$")
+    @pytest.mark.parametrize("degree, smoothing",
+                             [(2, 27), (2, 60), (2, 100), (4, 21), (0, 300), (2, 10**6)])
+    def test_large_smoothing_builds_accurate_densities(self, degree, smoothing):
+        # expanding (1-u)^(kappa-1) p_v into alternating monomials once
+        # cancelled in Horner's rule, 4e3 relative at N=2, W=21, kappa=60,
+        # and the bound rejected all of these; the product is accurate
         for window in (degree + 2, 21, 121):
-            with pytest.raises(ValueError, match=message):
-                build_kernel_bank(EstimatorSpec(degree=degree, window=window, smoothing=smoothing))
+            spec = EstimatorSpec(degree=degree, window=window, smoothing=smoothing)
+            got = build_kernel_bank(spec).weights
+            for v, want in enumerate(polyval_weights(spec)):
+                assert got[v].tobytes() == want.tobytes(), (spec, v)
+            assert density_error(spec) <= 3e-12, spec
+
+    @pytest.mark.parametrize("smoothing", [1, 2, 3, 5, 7, 27, 60, 100, 1000, 10**6])
+    def test_densities_within_3e_12_of_exact(self, smoothing):
+        for degree in range(9):
+            for window in sorted({degree + 2, 7, 21, 121} - set(range(degree + 2))):
+                spec = EstimatorSpec(degree=degree, window=window, smoothing=smoothing)
+                got = build_kernel_bank(spec).weights
+                for v, want in enumerate(polyval_weights(spec)):
+                    assert got[v].tobytes() == want.tobytes(), (spec, v)
+                assert density_error(spec) <= 3e-12, spec
+
+    @pytest.mark.parametrize("degree, window", [(15, 18), (16, 66)])
+    def test_high_degree_rejected(self, degree, window):
+        # the degree, not kappa, now makes Horner on p_v cancel
+        message = (rf"^densities too inaccurate in floating point for degree {degree}, "
+                   rf"smoothing 1 \(Horner error bound above 0.0001\)$")
+        with pytest.raises(ValueError, match=message):
+            build_kernel_bank(EstimatorSpec(degree=degree, window=window))
+
+    def test_weight_rounding_bound_past_one_rejected(self):
+        # p_0 = kappa fits a float, but gamma over 2(kappa-1) roundings is no
+        # bound once k u >= 1, where k u / (1 - k u) turns negative
+        with pytest.raises(ValueError, match=r"^densities too inaccurate .* smoothing 10000000000000000 "):
+            build_kernel_bank(EstimatorSpec(degree=0, window=21, smoothing=10**16))
 
     def test_coefficients_past_the_float_range_rejected_before_float(self):
-        # C(1099, 549) > 2**1024: float() would raise OverflowError
-        assert max(abs(c) for c in _density_polynomials(2, 1100)[0]) > 2**1024
-        with pytest.raises(ValueError, match="degree 2, smoothing 1100 "):
-            build_kernel_bank(EstimatorSpec(degree=2, smoothing=1100))
+        # p_0's u^2 coefficient is near kappa^4 / 4 > 2**1024: float() would raise OverflowError
+        assert max(abs(c) for c in _density_polynomials(2, 10**200)[0]) > 2**1024
+        with pytest.raises(ValueError, match=f"degree 2, smoothing {10**200} "):
+            build_kernel_bank(EstimatorSpec(degree=2, smoothing=10**200))
 
     @pytest.mark.parametrize("degree, smoothing", [(2, 26), (4, 20)])
     def test_largest_accepted_smoothing(self, degree, smoothing):
+        # the largest kappa the bound accepted on the expanded densities
         build_kernel_bank(EstimatorSpec(degree=degree, window=21, smoothing=smoothing))
 
     def test_small_specs_accepted(self):
@@ -175,6 +268,11 @@ class TestHornerBound:
             for window in sorted({degree + 2, 21, 500}):
                 for smoothing in range(1, 8):
                     build_kernel_bank(EstimatorSpec(degree=degree, window=window, smoothing=smoothing))
+
+    def test_huge_smoothing_builds_fast(self):
+        start = time.perf_counter()
+        build_kernel_bank(EstimatorSpec(degree=2, window=21, smoothing=10**6))
+        assert time.perf_counter() - start < 0.1
 
 
 class TestGoldenWeights:
@@ -205,16 +303,14 @@ class TestGoldenWeights:
 
 
 def polyval_weights(spec: EstimatorSpec) -> list[np.ndarray]:
-    """build_kernel_bank's weights with the densities evaluated by
-    numpy.polynomial's polyval, as the bank computed them before."""
+    """build_kernel_bank's weights from polyval_densities, with p_v
+    evaluated by numpy.polynomial's polyval, as the bank computed it before."""
     n, w, dt = spec.degree, spec.window, spec.spacing
     horizon = (w - 1) * dt
-    u = (w - 1 - np.arange(w)) / (w - 1)
     a_mat = np.vander((np.arange(w) - (w - 1)) / (w - 1), n + 1, increasing=True)
     q_fact, r_fact = np.linalg.qr(a_mat)
     weights = []
-    for v, q in enumerate(_density_polynomials(n, spec.smoothing)):
-        density = np.polynomial.polynomial.polyval(u, np.array([float(c) for c in q]))
+    for v, density in enumerate(polyval_densities(spec)):
         raw = ((-1.0) ** v) * density * (1.0 / (w - 1)) / horizon**v
         rhs = np.zeros(n + 1)
         rhs[v] = math.factorial(v) / horizon**v
