@@ -26,7 +26,7 @@ import numpy as np
 from . import forecast as fc
 from .decompose import sliding_trend
 from .kernels import EstimatorSpec, build_kernel_bank
-from .moments import rolling_central_moment
+from .moments import check_moment_window, rolling_central_moment
 from .series_io import PriceSeries, emit_kv
 
 
@@ -48,8 +48,7 @@ class BacktestConfig:
             raise ValueError(f"horizons must be integers >= 1, got {self.horizons!r}")
         if len(set(self.horizons)) != len(self.horizons):
             raise ValueError(f"horizons must be distinct, got {self.horizons!r}")
-        if isinstance(self.M, bool) or not isinstance(self.M, int) or self.M < 1:
-            raise ValueError(f"M must be an integer >= 1, got {self.M!r}")
+        check_moment_window(self.M)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must be inside (0, 1), got {self.level!r}")
         if not self.deadband_rule >= 0:

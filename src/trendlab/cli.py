@@ -1,12 +1,15 @@
 """Command-line entry point wiring the full pipeline.
 
 One executable with subcommands (decompose, moments, forecast, backtest,
-gbm). forecast and backtest validate their flags as one BacktestConfig
-and share backtest.forecast_setup. Every output is computed fully before
-anything is written. A subcommand writes every one of its files to a
-temp file before it renames any of them into place (with the mode open()
-would give), so a failed computation or write leaves no new output; only
-a failed rename, which runs after every file has been written, can leave
+gbm). Each subcommand checks its flags before it reads the price file
+(only the checks that need the file's length come after it), then
+computes and returns its outputs as {file name: text}; forecast and
+backtest validate their flags as one BacktestConfig and share
+backtest.forecast_setup. main is the one writer: it writes every file of
+a subcommand to a temp file, created by open(..., "x") (exclusive, with
+the mode a plain open gives), before it renames any of them into
+place, so a failed computation or write leaves no new output; only a
+failed rename, which runs after every file has been written, can leave
 earlier files of that subcommand behind. Given identical inputs, flags,
 and seed, outputs are byte-identical across runs on one host and numpy
 build.
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from functools import cache
 from typing import Optional, Sequence
@@ -32,29 +34,25 @@ from .decompose import (
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
 from .kernels import EstimatorSpec, build_kernel_bank
-from .moments import emit_moments, moment_tracks
+from .moments import check_moment_window, emit_moments, moment_tracks
 from .series_io import date_labels, emit_kv, emit_table, load_prices
 
 
 def _emit_all(out_dir: str, outputs: dict[str, str]) -> list[str]:
     """Write outputs (file name -> text) into out_dir; the paths written.
 
-    Every file is first written to a temp file in out_dir, with the mode
-    open(path, "w") would give (0o666 less the process umask; mkstemp alone
-    would leave it 0o600), and only then renamed into place. A failed write
-    removes every temp file, so it leaves no new output.
+    Every file is first written to a temp file in out_dir, created by
+    open(..., "x"), and only then renamed into place. A failed write
+    removes every temp file this call created, so it leaves no new output.
     """
     os.makedirs(out_dir, exist_ok=True)
-    umask = os.umask(0)  # the only way to read it; restored at once
-    os.umask(umask)
     staged: list[tuple[str, str]] = []  # (temp file, final path)
     try:
         for filename, text in outputs.items():
-            fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=".tmp-")
-            staged.append((tmp, os.path.join(out_dir, filename)))
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            tmp = os.path.join(out_dir, ".tmp-" + os.urandom(8).hex())
+            with open(tmp, "x", encoding="utf-8") as handle:
+                staged.append((tmp, os.path.join(out_dir, filename)))
                 handle.write(text)
-            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -107,10 +105,10 @@ def _config(args: argparse.Namespace) -> BacktestConfig:
     )
 
 
-def _cmd_decompose(args: argparse.Namespace) -> list[str]:
+def _cmd_decompose(args: argparse.Namespace) -> dict[str, str]:
     check_threshold(args.oscillation_threshold)  # before the load, the slide and the scan
-    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     spec = _slow_spec(args)
+    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     check_window(len(series), spec.window)  # before the build, whose cost grows with W
     dec = sliding_trend(series, build_kernel_bank(spec))
     report = oscillation_score(
@@ -131,15 +129,16 @@ def _cmd_decompose(args: argparse.Namespace) -> list[str]:
         ("threshold", report.threshold),
         ("verdict", report.verdict),
     ])
-    return _emit_all(args.out_dir, {
+    return {
         f"{series.name}_decomposition.csv": emit_decomposition(dec),
         f"{series.name}_oscillation.kv": kv,
-    })
+    }
 
 
-def _cmd_moments(args: argparse.Namespace) -> list[str]:
-    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
+def _cmd_moments(args: argparse.Namespace) -> dict[str, str]:
     spec = _slow_spec(args)
+    check_moment_window(args.moment_window)
+    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     # W - 1 samples of trend warm-up, then M + 1 for the first window
     need = spec.window + args.moment_window
     if len(series) < need:
@@ -147,12 +146,12 @@ def _cmd_moments(args: argparse.Namespace) -> list[str]:
     dec = sliding_trend(series, build_kernel_bank(spec))
     track = moment_tracks(dec.fluctuation, args.moment_window)
     text = emit_moments(track, dates=series.dates, offset=dec.warmup)
-    return _emit_all(args.out_dir, {f"{series.name}_moments.csv": text})
+    return {f"{series.name}_moments.csv": text}
 
 
-def _cmd_forecast(args: argparse.Namespace) -> list[str]:
-    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
+def _cmd_forecast(args: argparse.Namespace) -> dict[str, str]:
     config = _config(args)
+    series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     slow, fast, std, start = forecast_setup(series, config)
     n = len(series)
     origins = np.arange(start, n)
@@ -167,19 +166,20 @@ def _cmd_forecast(args: argparse.Namespace) -> list[str]:
          *(np.concatenate([getattr(p, name) for p in points])
            for name in ("trend_hat", "lo", "hi", "position"))),
     )
-    return _emit_all(args.out_dir, {f"{series.name}_forecast.csv": text})
+    return {f"{series.name}_forecast.csv": text}
 
 
-def _cmd_backtest(args: argparse.Namespace) -> list[str]:
+def _cmd_backtest(args: argparse.Namespace) -> dict[str, str]:
+    config = _config(args)
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
-    report = walk_forward(series, _config(args))
-    return _emit_all(args.out_dir, {
+    report = walk_forward(series, config)
+    return {
         f"{series.name}_backtest.txt": emit_report(report, "text"),
         f"{series.name}_backtest.kv": emit_report(report, "structured"),
-    })
+    }
 
 
-def _cmd_gbm(args: argparse.Namespace) -> list[str]:
+def _cmd_gbm(args: argparse.Namespace) -> dict[str, str]:
     params = GbmParams(
         mu=args.mu, sigma=args.sigma, s0=args.s0, t_end=args.t_end,
         steps=args.steps, paths=args.paths, seed=args.seed,
@@ -201,7 +201,7 @@ def _cmd_gbm(args: argparse.Namespace) -> list[str]:
         ("verdict", oscillation_verdict(stat.p_hat, args.oscillation_threshold)),
         ("generator", NORMAL_SOURCE),
     ])
-    return _emit_all(args.out_dir, {"gbm_stats.kv": kv})
+    return {"gbm_stats.kv": kv}
 
 
 @cache
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="smallest averaging window L_min (samples)")
     p.add_argument("--oscillation-threshold", type=float, default=0.05,
                    help="quick-fluctuation verdict threshold (fraction of scale)")
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_decompose)
 
     p = subs.add_parser("moments", formatter_class=fmt,
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_kernel_flags(p)
     p.add_argument("--moment-window", type=int, default=100, help="moment window M (samples)")
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_moments)
 
     p = subs.add_parser("forecast", formatter_class=fmt,
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_kernel_flags(p)
     _add_forecast_flags(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_forecast)
 
     p = subs.add_parser("backtest", formatter_class=fmt,
@@ -249,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     _add_kernel_flags(p)
     _add_forecast_flags(p)
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_backtest)
 
     p = subs.add_parser("gbm", formatter_class=fmt,
@@ -264,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--oscillation-threshold", type=float, default=0.05,
                    help="p_hat at or below this counts as quickly fluctuating")
-    p.add_argument("--out-dir", default=".", help="output directory")
     p.set_defaults(func=_cmd_gbm)
+    for p in subs.choices.values():  # last, so each --help lists it last
+        p.add_argument("--out-dir", default=".", help="output directory")
     return parser
 
 
@@ -273,7 +270,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        written = args.func(args)
+        written = _emit_all(args.out_dir, args.func(args))
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: say, gbm's grid at a huge --steps
         print(f"error: {exc}", file=sys.stderr)
         return 2

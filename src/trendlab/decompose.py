@@ -146,11 +146,13 @@ def oscillation_score(
 
     The score is exact, yet only lengths min_window..2*min_window-1 are
     evaluated: a longer window splits into two parts of length >=
-    min_window, and its mean is a weighted average of theirs.
+    min_window, and its mean is a weighted average of theirs. A
+    fluctuation holding NaN or +-inf is rejected.
     """
     fluct = np.asarray(fluctuation, dtype=float)
     if fluct.ndim != 1 or len(fluct) == 0:
         raise ValueError("fluctuation must be a nonempty one-dimensional sequence")
+    check_finite_fluctuation(fluct)
     n = len(fluct)
     if isinstance(min_window, bool) or not isinstance(min_window, int):
         raise ValueError(f"min_window must be an integer, got {min_window!r}")
@@ -175,6 +177,14 @@ def oscillation_score(
         threshold=threshold,
         verdict=oscillation_verdict(score, threshold),
     )
+
+
+def check_finite_fluctuation(fluct: np.ndarray) -> None:
+    """Reject a float fluctuation array holding NaN or +-inf, naming the first."""
+    finite = np.isfinite(fluct)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"fluctuation must be finite, got {float(fluct[bad])!r} at index {bad}")
 
 
 def check_threshold(threshold: float) -> None:

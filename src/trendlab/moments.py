@@ -31,6 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._spans import run_spans, split_rows
+from .decompose import check_finite_fluctuation
 from .series_io import date_labels, emit_table
 
 _CHUNK_ROWS = 1024  # window rows in flight across all threads
@@ -74,13 +75,13 @@ def _rolling_stats(
     measured slower.
 
     Raises:
-        ValueError: m < 1 or sequence shorter than m+1.
+        ValueError: m < 1, sequence shorter than m+1, or a value not finite.
     """
     fluct = np.asarray(fluctuation, dtype=float)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"M must be an integer >= 1, got {m!r}")
+    check_moment_window(m)
     if fluct.ndim != 1 or len(fluct) < m + 1:
         raise ValueError(f"need at least M+1 = {m + 1} samples, got {len(fluct)}")
+    check_finite_fluctuation(fluct)
     rows = len(fluct) - m
     out = [np.empty(rows) for _ in range(tracks)]
     windows = sliding_window_view(fluct, m + 1)
@@ -97,6 +98,12 @@ def _rolling_stats(
 
     run_spans([partial(fill, span) for span in spans])
     return out
+
+
+def check_moment_window(M: int) -> None:
+    """Reject a moment window M that is not an integer >= 1 (a bool included)."""
+    if isinstance(M, bool) or not isinstance(M, int) or M < 1:
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
 
 
 def _product_sums(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -121,7 +128,8 @@ def rolling_central_moment(fluctuation: np.ndarray, k: int, M: int) -> np.ndarra
     module docstring).
 
     Raises:
-        ValueError: k < 2, M < 1, or sequence shorter than M+1.
+        ValueError: k < 2, M < 1, sequence shorter than M+1, or a value
+            not finite.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
@@ -138,7 +146,7 @@ def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:
     docstring), and are the same bytes at every numpy dispatch level.
 
     Raises:
-        ValueError: M < 1 or sequence shorter than M+1.
+        ValueError: M < 1, sequence shorter than M+1, or a value not finite.
     """
     ma2, ma3, ma4 = _rolling_stats(fluctuation, M, _product_sums, 3)
     # MA_2 is a mean of squares, so it is >= 0 in float arithmetic too.

@@ -381,8 +381,11 @@ def emit_table(header: Sequence[str], columns: Sequence) -> str:
     and the cells of one block of rows, never those of the whole table.
 
     Raises:
-        ValueError: columns of different lengths.
+        ValueError: a header of more or fewer names than columns, or
+            columns of different lengths.
     """
+    if len(header) != len(columns):
+        raise ValueError(f"table header width {len(header)} differs from column count {len(columns)}")
     lengths = {len(part) for c in columns if c is not None for part in (c if _is_pair(c) else (c,))}
     if len(lengths) != 1:
         raise ValueError(f"table columns differ in length: {sorted(lengths)}")

@@ -254,6 +254,22 @@ class TestForecastAndBacktestShareTheConfigChecks:
         assert capsys.readouterr().err == f"error: series too short: need at least {need} samples, got 300\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["decompose", "--window", "1"], "underdetermined: window must exceed degree + 1, got window=1 for degree 2"),
+    (["moments", "--window", "1"], "underdetermined: window must exceed degree + 1, got window=1 for degree 2"),
+    (["moments", "--moment-window", "0"], "M must be an integer >= 1, got 0"),
+    (["forecast", "--level", "1.5"], "level must be inside (0, 1), got 1.5"),
+    (["forecast", "--moment-window", "0"], "M must be an integer >= 1, got 0"),
+    (["backtest", "--horizons", "1,1"], "horizons must be distinct, got (1, 1)"),
+])
+def test_flags_checked_before_the_price_file_is_read(argv, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("trendlab.cli.load_prices", never_called)
+    rc = main([*argv, "--input", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestWideFastWindow:
     def test_forecast_and_backtest_share_the_first_origin(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -347,15 +363,21 @@ class TestGbm:
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_outputs_get_the_mode_open_gives_under_the_umask(noisy_csv, tmp_path, umask, mode):
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o027, 0o640)])
+def test_outputs_get_the_mode_open_gives_under_the_umask(noisy_csv, tmp_path, monkeypatch, umask,
+                                                         mode):
+    def no_umask(mask):  # it is process-wide: a writer that flips it races every other thread
+        raise AssertionError("os.umask called")
+
     out = tmp_path / "out"
     old = os.umask(umask)
     try:
+        monkeypatch.setattr(os, "umask", no_umask)
         for cmd in ("decompose", "moments", "forecast", "backtest"):
             assert main([cmd, "--input", str(noisy_csv), "--out-dir", str(out)]) == 0
         assert main(["gbm", "--steps", "10", "--paths", "10", "--out-dir", str(out)]) == 0
     finally:
+        monkeypatch.undo()
         os.umask(old)
     modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in out.iterdir()}
     assert len(modes) == 7
@@ -491,12 +513,11 @@ class TestErrorHandling:
 
     def test_failed_write_exits_2_and_leaves_no_new_file(self, noisy_csv, tmp_path, capsys,
                                                           monkeypatch):
-        real_fdopen = os.fdopen
         opened = []
 
-        def fdopen(fd, *args, **kwargs):
-            handle = real_fdopen(fd, *args, **kwargs)
-            opened.append(fd)
+        def staging_open(path, *args, **kwargs):
+            handle = open(path, *args, **kwargs)
+            opened.append(path)
             if len(opened) == 2:  # the second output file: the disk is full
                 def write(text):
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -506,12 +527,25 @@ class TestErrorHandling:
         out = tmp_path / "out"
         out.mkdir()
         (out / "keep.txt").write_text("an earlier file\n")
-        monkeypatch.setattr(os, "fdopen", fdopen)
+        monkeypatch.setattr("trendlab.cli.open", staging_open, raising=False)
         rc = main(["decompose", "--input", str(noisy_csv), "--out-dir", str(out)])
         assert rc == 2
         assert len(opened) == 2
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert [path.name for path in out.iterdir()] == ["keep.txt"]
+
+    def test_taken_temp_name_exits_2_and_keeps_that_file(self, noisy_csv, tmp_path, capsys,
+                                                         monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        taken = out / (".tmp-" + "ab" * 8)
+        taken.write_text("not this run's\n")
+        monkeypatch.setattr(os, "urandom", lambda n: b"\xab" * n)
+        rc = main(["decompose", "--input", str(noisy_csv), "--out-dir", str(out)])
+        assert rc == 2
+        assert os.strerror(errno.EEXIST) in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == [taken.name]
+        assert taken.read_text() == "not this run's\n"
 
     def test_horizons_that_are_not_integers_exit_2(self, noisy_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -128,6 +128,14 @@ class TestSlidingTrend:
 
 
 class TestOscillationScore:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fluctuation_rejected(self, value):
+        # NaN compares False, so it would give score 0.0 and a quick verdict
+        fluct = np.sin(np.arange(200) / 7.0)
+        fluct[50] = value
+        with pytest.raises(ValueError, match=f"^fluctuation must be finite, got {value!r} at index 50$"):
+            oscillation_score(fluct, min_window=10)
+
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(15)
         fluct = rng.normal(0.0, 1.0, 100)

@@ -357,6 +357,17 @@ class TestForecastOrigins:
         for t in (self.t_min, np.uint64(self.t_min), np.arange(self.t_min, self.t_min + 3, dtype=np.uint8)):
             assert forecast_point(self.slow, self.fast, self.track.std, t, 1).origin is t
 
+    def test_zero_dimensional_array_is_one_origin(self):
+        t = np.array(self.t_min)
+        trend = forecast_trend(self.slow, t, 1)
+        assert type(trend) is float and trend == forecast_trend(self.slow, self.t_min, 1)
+        got = forecast_point(self.slow, self.fast, self.track.std, t, 1)
+        want = forecast_point(self.slow, self.fast, self.track.std, self.t_min, 1)
+        for name in ("trend_hat", "lo", "hi", "deadband"):
+            assert type(getattr(got, name)) is float
+            assert getattr(got, name) == getattr(want, name)
+        assert got.position == want.position and got.origin is t
+
     @pytest.mark.parametrize("name", ["forecast_point", "forecast_trend", "forecast_moments"])
     def test_unsigned_past_int64_rejected(self, name):
         # 2**63 would wrap to a negative int64 and be reported as that

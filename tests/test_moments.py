@@ -75,6 +75,16 @@ class TestRollingCentralMoment:
         with pytest.raises(ValueError, match="need at least M\\+1 = 21 samples"):
             rolling_central_moment(fluct, 2, 20)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("moment", [lambda f: rolling_central_moment(f, 2, 10),
+                                        lambda f: moment_tracks(f, 10)],
+                             ids=["rolling_central_moment", "moment_tracks"])
+    def test_non_finite_fluctuation_rejected(self, moment, value):
+        fluct = np.sin(np.arange(200) / 7.0)
+        fluct[50] = value
+        with pytest.raises(ValueError, match=f"^fluctuation must be finite, got {value!r} at index 50$"):
+            moment(fluct)
+
 
 class TestThreadSplit:
     @settings(max_examples=60, deadline=None)

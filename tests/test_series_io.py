@@ -248,6 +248,9 @@ class TestLoadPrices:
         # a quoted cell over several lines is named by the line it ends on
         ('Date,Close\n2020-01-01,10\n\n2020-01-02,"1\n' + "1" * 140_000 + '"\n', 5),
         ('"Date' + " " * 140_000 + '",Close\n2020-01-01,10\n', 1),
+        # quote-free text: the column pass hands an oversize field to the row pass
+        ("Date,Close\n2020-01-01,10\n2020-01-02," + "1" * 140_000 + "\n", 3),
+        ("Date" + " " * 140_000 + ",Close\n2020-01-01,10\n", 1),
     ])
     def test_csv_errors_become_value_errors_naming_the_line(self, tmp_path, text, line):
         path = tmp_path / "big.csv"

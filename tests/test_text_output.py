@@ -199,6 +199,15 @@ def test_columns_of_different_lengths_are_rejected():
         emit_table(("a", "b", "c"), (["x"], None, np.array([1.0, 2.0])))
 
 
+@pytest.mark.parametrize("header, message", [
+    (("a",), "table header width 1 differs from column count 2"),
+    (("a", "b", "c"), "table header width 3 differs from column count 2"),
+])
+def test_header_of_another_width_is_rejected(header, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        emit_table(header, (np.array([1.0, 2.0]), np.array([3.0, 4.0])))
+
+
 @st.composite
 def table_columns(draw, rows):
     """One emit_table column of rows entries, of any kind it takes."""
