@@ -1,8 +1,8 @@
 """One thread per CPU over contiguous spans of independent rows.
 
-The rolling moments and the GBM ensemble both split their rows this way;
-numpy releases the interpreter lock in their array loops, so the spans
-run in parallel, and each row's bits do not depend on the split.
+The GBM ensemble splits its paths this way; scipy's ndtri and numpy
+release the interpreter lock in its array loops, so the spans run in
+parallel, and each row's bits do not depend on the split.
 """
 from __future__ import annotations
 

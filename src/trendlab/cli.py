@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .backtest import BacktestConfig, emit_report, forecast_setup, walk_forward
 from .decompose import (
-    check_threshold, check_window, emit_decomposition, oscillation_score, oscillation_verdict,
-    sliding_trend,
+    check_min_window, check_threshold, check_window, emit_decomposition, oscillation_score,
+    oscillation_verdict, sliding_trend,
 )
 from .forecast import forecast_point
 from .gbm import NORMAL_SOURCE, GbmParams, oscillation_probability
@@ -106,7 +106,9 @@ def _config(args: argparse.Namespace) -> BacktestConfig:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> dict[str, str]:
-    check_threshold(args.oscillation_threshold)  # before the load, the slide and the scan
+    # before the load, the slide and the scan; min_window <= n needs the file
+    check_threshold(args.oscillation_threshold)
+    check_min_window(args.oscillation_min_window)
     spec = _slow_spec(args)
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     check_window(len(series), spec.window)  # before the build, whose cost grows with W

@@ -154,9 +154,8 @@ def oscillation_score(
         raise ValueError("fluctuation must be a nonempty one-dimensional sequence")
     check_finite_fluctuation(fluct)
     n = len(fluct)
-    if isinstance(min_window, bool) or not isinstance(min_window, int):
-        raise ValueError(f"min_window must be an integer, got {min_window!r}")
-    if not 1 <= min_window <= n:
+    check_min_window(min_window)
+    if min_window > n:
         raise ValueError(f"min_window must be in 1..{n}, got {min_window}")
     check_threshold(threshold)  # before the scan
 
@@ -177,6 +176,14 @@ def oscillation_score(
         threshold=threshold,
         verdict=oscillation_verdict(score, threshold),
     )
+
+
+def check_min_window(min_window: int) -> None:
+    """Reject an oscillation min_window that is not an integer >= 1 (a bool included)."""
+    if isinstance(min_window, bool) or not isinstance(min_window, int):
+        raise ValueError(f"min_window must be an integer, got {min_window!r}")
+    if min_window < 1:
+        raise ValueError(f"min_window must be >= 1, got {min_window}")
 
 
 def check_finite_fluctuation(fluct: np.ndarray) -> None:

@@ -24,18 +24,15 @@ byte-identical across numpy dispatch levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._spans import run_spans, split_rows
 from .decompose import check_finite_fluctuation
 from .series_io import date_labels, emit_table
 
-_CHUNK_ROWS = 1024  # window rows in flight across all threads
-_SPAN_ROWS = 512  # fewest window rows worth a thread of their own
+_CHUNK_ROWS = 512  # window rows per block
 
 
 @dataclass(frozen=True)
@@ -54,25 +51,21 @@ class MomentTrack:
 
 
 def _rolling_stats(
-    fluctuation: np.ndarray, m: int, reduce: Callable[[np.ndarray], tuple[np.ndarray, ...]], tracks: int
+    fluctuation: np.ndarray, m: int, reduce: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, ...]],
+    tracks: int,
 ) -> list[np.ndarray]:
     """Trailing-window central moments, mean-first arithmetic.
 
-    reduce takes a block of centered window rows, which it may overwrite,
-    and returns the tracks' row sums of that block; each sum is divided by
-    M+1. Chunked windowed evaluation; each window reduces over a contiguous
-    axis, matching per-window recomputation bit for bit. The window rows
-    are split into one contiguous span per CPU the process may use (at
-    least _SPAN_ROWS rows each); each span runs on its own thread, the
-    first on the caller's, and numpy releases the interpreter lock in the
-    array loops. Rows are independent, so the bits are the same for any
-    split, and the rows in flight stay _CHUNK_ROWS in all: the centered
-    block and the one power block reduce makes from it take
-    8 * _CHUNK_ROWS * (M+1) bytes each across all threads, 0.8 MB at
-    M = 100. reduce returns, freeing its power block, before the next
-    block is centered. These temporaries are small enough to be
-    allocated on the worker threads; buffers handed in by the caller
-    measured slower.
+    The window rows run in blocks of _CHUNK_ROWS on the caller's thread.
+    Each block's centered rows are written into one scratch block, and
+    reduce(centered, power) returns the tracks' row sums of that block,
+    using power, a second scratch block of the same shape, for its powers;
+    it may overwrite both. Each sum is divided by M+1. Each window reduces
+    over a contiguous axis, matching per-window recomputation bit for bit.
+    The two blocks, 8 * _CHUNK_ROWS * (M+1) bytes each (0.4 MB at
+    M = 100), are allocated once per call and reused by every block:
+    fresh temporaries of that size are handed back to the OS when freed,
+    so each block page-faulted them in again.
 
     Raises:
         ValueError: m < 1, sequence shorter than m+1, or a value not finite.
@@ -85,18 +78,13 @@ def _rolling_stats(
     rows = len(fluct) - m
     out = [np.empty(rows) for _ in range(tracks)]
     windows = sliding_window_view(fluct, m + 1)
-    spans = split_rows(rows, _SPAN_ROWS)
-    chunk = max(1, _CHUNK_ROWS // len(spans))
-
-    def fill(span: range) -> None:
-        for lo in range(span.start, span.stop, chunk):
-            hi = min(lo + chunk, span.stop)
-            block = windows[lo:hi]
-            mean = block.mean(axis=1)
-            for track, sums in zip(out, reduce(block - mean[:, None])):
-                track[lo:hi] = sums / (m + 1)
-
-    run_spans([partial(fill, span) for span in spans])
+    centered_block, power_block = np.empty((2, min(_CHUNK_ROWS, rows), m + 1))
+    for lo in range(0, rows, _CHUNK_ROWS):
+        block = windows[lo : lo + _CHUNK_ROWS]
+        centered, power = centered_block[: len(block)], power_block[: len(block)]
+        np.subtract(block, block.mean(axis=1)[:, None], out=centered)
+        for track, sums in zip(out, reduce(centered, power)):
+            track[lo : lo + len(block)] = sums / (m + 1)
     return out
 
 
@@ -106,15 +94,15 @@ def check_moment_window(M: int) -> None:
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
 
 
-def _product_sums(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _product_sums(centered: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row sums of c*c, c*(c*c) and (c*c)*(c*c), built in place in
-    centered and one square block."""
-    sq = centered * centered
-    s2 = sq.sum(axis=1)
-    centered *= sq
+    centered and power."""
+    np.multiply(centered, centered, out=power)
+    s2 = power.sum(axis=1)
+    centered *= power
     s3 = centered.sum(axis=1)
-    sq *= sq
-    return s2, s3, sq.sum(axis=1)
+    power *= power
+    return s2, s3, power.sum(axis=1)
 
 
 def rolling_central_moment(fluctuation: np.ndarray, k: int, M: int) -> np.ndarray:
@@ -133,7 +121,16 @@ def rolling_central_moment(fluctuation: np.ndarray, k: int, M: int) -> np.ndarra
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k!r}")
-    return _rolling_stats(fluctuation, M, lambda centered: ((centered**k).sum(axis=1),), 1)[0]
+
+    def power_sums(centered: np.ndarray, power: np.ndarray) -> tuple[np.ndarray]:
+        # the ufunc `**` dispatches to for a Python int exponent
+        if k == 2:
+            np.square(centered, out=power)
+        else:
+            np.power(centered, k, out=power)
+        return (power.sum(axis=1),)
+
+    return _rolling_stats(fluctuation, M, power_sums, 1)[0]
 
 
 def moment_tracks(fluctuation: np.ndarray, M: int = 100) -> MomentTrack:

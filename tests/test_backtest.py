@@ -12,6 +12,7 @@ from trendlab.backtest import (
     BacktestConfig,
     HorizonResult,
     emit_report,
+    forecast_setup,
     score_positions,
     walk_forward,
 )
@@ -115,14 +116,25 @@ class TestBacktestConfig:
                 BacktestConfig(horizons=(1, flag))
             with pytest.raises(ValueError, match=f"M must be an integer >= 1, got {flag}$"):
                 BacktestConfig(M=flag)
-        with pytest.raises(ValueError, match="level must be inside"):
-            BacktestConfig(level=1.5)
+        for level in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match=rf"level must be inside \(0, 1\), got {level}$"):
+                BacktestConfig(level=level)
         with pytest.raises(ValueError, match="deadband_rule must be >= 0"):
             BacktestConfig(deadband_rule=-1.0)
         with pytest.raises(ValueError, match="deadband_rule must be >= 0, got nan"):
             BacktestConfig(deadband_rule=float("nan"))
         with pytest.raises(ValueError, match="deadband_rule must be finite, got inf$"):
             BacktestConfig(deadband_rule=float("inf"))
+
+
+# a mean of four samples (weights 0.25, exact) on both sides: the trend
+# of a flat stretch is its price, bit for bit, and its std track is 0
+FLAT = BacktestConfig(
+    spec_slow=EstimatorSpec(degree=0, window=4),
+    spec_fast=EstimatorSpec(degree=0, window=4),
+    M=4,
+    horizons=(1, 3),
+)
 
 
 class TestScorePositions:
@@ -203,6 +215,21 @@ class TestWalkForward:
             assert 0.0 <= result.coverage <= 1.0
             assert result.het_ratio >= 1.0
             assert result.rmse > 0.0
+
+    def test_target_on_a_band_edge_is_covered(self):
+        # std 0 makes the band the point trend_hat, which is the target
+        series = PriceSeries("flat", np.full(60, 3.0))
+        slow, fast, std, start = forecast_setup(series, FLAT)
+        point = forecast_point(slow, fast, std, np.arange(start, 57), 3)
+        assert (point.lo == 3.0).all() and (point.hi == 3.0).all()
+        for result in walk_forward(series, FLAT).results:
+            assert result.coverage == 1.0
+
+    def test_het_ratio_is_inf_where_the_smallest_std_is_0(self):
+        values = np.full(80, 3.0)
+        values[40:] += np.random.default_rng(31).normal(0.0, 0.1, 40)
+        for result in walk_forward(PriceSeries("half_flat", values), FLAT).results:
+            assert result.het_ratio == float("inf")
 
     def test_spacing_invariance(self):
         t = np.arange(260)
@@ -324,7 +351,7 @@ class TestWalkForwardInvariants:
 
 def test_horizons_do_not_add_to_the_peak():
     # one horizon's forecast and realized arrays are held at a time; at
-    # 20,000 rows they, not the moment threads' scratch, set the peak
+    # 20,000 rows they, not the moments' scratch blocks, set the peak
     series = random_walk(20_000, 21)
 
     def peak(horizons):

@@ -200,6 +200,17 @@ class TestForecast:
         assert len(lines) == 1 + (300 - 140)
         assert all(line.split(",")[1] == "2" for line in lines[1:])
 
+    def test_first_origin_rows_rejected_and_one_more_runs(self, tmp_path, capsys):
+        # the default windows put the first origin at 2 * 20 + 100 = 140
+        values = 50.0 + np.sin(np.arange(141.0))
+        short = write_price_csv(tmp_path / "short.csv", values[:140])
+        assert main(["forecast", "--input", str(short), "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: series too short: need at least 141 samples, got 140\n"
+        path = write_price_csv(tmp_path / "one.csv", values)
+        assert main(["forecast", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "one_forecast.csv").read_text().strip().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["2020-05-20", "1"], ["2020-05-20", "5"]]
+
 
 class TestBacktest:
     def test_reports_written(self, noisy_csv, tmp_path):
@@ -256,6 +267,7 @@ class TestForecastAndBacktestShareTheConfigChecks:
 
 @pytest.mark.parametrize("argv, message", [
     (["decompose", "--window", "1"], "underdetermined: window must exceed degree + 1, got window=1 for degree 2"),
+    (["decompose", "--oscillation-min-window", "0"], "min_window must be >= 1, got 0"),
     (["moments", "--window", "1"], "underdetermined: window must exceed degree + 1, got window=1 for degree 2"),
     (["moments", "--moment-window", "0"], "M must be an integer >= 1, got 0"),
     (["forecast", "--level", "1.5"], "level must be inside (0, 1), got 1.5"),
@@ -397,10 +409,9 @@ def _package_path():
 class TestImportPath:
     def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
         # importing scipy.special takes longer than processing a small
-        # series; only the GBM draw may load it. numpy.ma and numpy.polynomial
-        # cost start-up that no series subcommand needs either. The moment
-        # threads are plain threading.Thread: concurrent.futures would cost
-        # start-up too
+        # series; only the GBM draw may load it. numpy.ma, numpy.polynomial
+        # and concurrent.futures cost start-up that no series subcommand
+        # needs either
         script = textwrap.dedent("""
             import sys
             import trendlab, trendlab.cli

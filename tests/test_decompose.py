@@ -115,6 +115,12 @@ class TestSlidingTrend:
         dec = sliding_trend(PriceSeries("s", np.full(10, 2.0)), bank)
         assert dec.d1 is None and dec.d2 is None
 
+    def test_degree_one_bank_keeps_the_slope(self):
+        bank = build_kernel_bank(EstimatorSpec(degree=1, window=5))
+        dec = sliding_trend(PriceSeries("s", 2.0 + 0.5 * np.arange(10.0)), bank)
+        assert dec.d2 is None
+        np.testing.assert_allclose(dec.d1, 0.5, rtol=1e-12)
+
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="window needs 21"):
             sliding_trend(PriceSeries("s", np.full(20, 1.0)), BANK)
@@ -163,6 +169,15 @@ class TestOscillationScore:
         assert report.score == pytest.approx(0.5, rel=1e-12)
         assert report.verdict == NOT_QUICKLY_FLUCTUATING
 
+    def test_score_at_the_threshold_is_quick(self):
+        # every window mean of 0.5 is exact, so the score ties the threshold
+        report = oscillation_score(np.full(50, 0.5), min_window=10, threshold=0.5)
+        assert report.score == 0.5
+        assert report.verdict == QUICKLY_FLUCTUATING
+        report = oscillation_score(np.zeros(50), min_window=10, threshold=0.0)
+        assert report.threshold == 0.0
+        assert report.verdict == QUICKLY_FLUCTUATING
+
     def test_scale_uses_source_mean_magnitude(self):
         source = PriceSeries("s", np.full(50, 200.0))
         report = oscillation_score(np.full(50, 1.0), min_window=10, source=source)
@@ -190,6 +205,9 @@ class TestOscillationScore:
             oscillation_score(np.zeros(0))
         with pytest.raises(ValueError, match="min_window must be in 1..5"):
             oscillation_score(np.zeros(5), min_window=6)
+        for min_window in (0, -1):
+            with pytest.raises(ValueError, match=f"min_window must be >= 1, got {min_window}$"):
+                oscillation_score(np.zeros(5), min_window=min_window)
         for min_window in (2.0, 2.5, True):  # True would be scored as 1
             with pytest.raises(ValueError, match=f"min_window must be an integer, got {re.escape(repr(min_window))}$"):
                 oscillation_score(np.zeros(5), min_window=min_window)

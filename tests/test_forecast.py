@@ -14,7 +14,9 @@ from trendlab.forecast import (
     ABOVE,
     NO_DECISION,
     UNDER,
+    _names,
     _ndtri,
+    _realized_codes,
     classify_position,
     confidence_band,
     forecast_moments,
@@ -161,8 +163,9 @@ class TestConfidenceBand:
         assert confidence_band(5.0, 0.0) == (5.0, 5.0)
 
     def test_level_validation(self):
-        with pytest.raises(ValueError, match="level must be inside"):
-            confidence_band(1.0, 1.0, level=1.0)
+        for level in (0.0, 1.0):  # level 0 would give z = 0, a point band at any std
+            with pytest.raises(ValueError, match=rf"level must be inside \(0, 1\), got {level}$"):
+                confidence_band(1.0, 1.0, level=level)
         with pytest.raises(ValueError, match="std_hat must be >= 0"):
             confidence_band(1.0, -0.5)
         with pytest.raises(ValueError, match=r"std_hat must be >= 0, got -0\.5$"):
@@ -228,6 +231,10 @@ class TestClassifyPosition:
     def test_zero_deadband_decides_everything_off_center(self):
         assert classify_position(100.0001, 100.0, 0.0) == ABOVE
         assert classify_position(100.0, 100.0, 0.0) == NO_DECISION
+
+    def test_zero_realized_fluctuation_is_under(self):
+        fluct = np.array([0.0, -0.0, 5e-324, -5e-324])
+        assert list(_names(_realized_codes(fluct))) == [UNDER, UNDER, ABOVE, UNDER]
 
     def test_negative_deadband_rejected(self):
         with pytest.raises(ValueError, match="deadband must be >= 0"):

@@ -86,24 +86,20 @@ class TestRollingCentralMoment:
             moment(fluct)
 
 
-class TestThreadSplit:
+class TestChunkSize:
     @settings(max_examples=60, deadline=None)
     @given(
         n_minus_m=st.integers(1, 60),
         m=st.integers(1, 12),
-        cpus=st.integers(1, 8),
         chunk_rows=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_any_worker_count_equals_brute_force(self, n_minus_m, m, cpus, chunk_rows, seed):
-        # one-row spans, so small inputs split too and n - M can fall
-        # below the CPU count
+    def test_any_chunk_size_equals_brute_force(self, n_minus_m, m, chunk_rows, seed):
+        # chunks from one row to more than n - M, with and without a tail
         rng = np.random.default_rng(seed)
         fluct = rng.normal(0.0, 1.0, n_minus_m + m)
         fluct[: len(fluct) // 3] = 0.0  # negative, positive and zero lanes
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spans, "_cpu_count", lambda: cpus)
-            mp.setattr(moments, "_SPAN_ROWS", 1)
             mp.setattr(moments, "_CHUNK_ROWS", chunk_rows)
             for k in (2, 3, 4):
                 np.testing.assert_array_equal(
@@ -114,46 +110,29 @@ class TestThreadSplit:
     @given(
         n_minus_m=st.integers(1, 60),
         m=st.integers(1, 12),
-        cpus=st.integers(1, 8),
         chunk_rows=st.integers(1, 20),
-        span_rows=st.integers(1, 30),
         zeros=st.tuples(st.integers(0, 72), st.integers(0, 72)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_tracks_equal_the_product_oracle(self, n_minus_m, m, cpus, chunk_rows, span_rows, zeros, seed):
+    def test_tracks_equal_the_product_oracle(self, n_minus_m, m, chunk_rows, zeros, seed):
         rng = np.random.default_rng(seed)
         fluct = rng.normal(0.0, 1.0, n_minus_m + m)
         fluct[min(zeros) : max(zeros)] = 0.0  # undefined windows, anywhere
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spans, "_cpu_count", lambda: cpus)
-            mp.setattr(moments, "_SPAN_ROWS", span_rows)
             mp.setattr(moments, "_CHUNK_ROWS", chunk_rows)
             track = moment_tracks(fluct, m)
         for name, want in brute_force_tracks(fluct, m).items():
             np.testing.assert_array_equal(getattr(track, name), want, err_msg=name)
 
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_a_failing_span_reaches_the_caller(self, monkeypatch, failing):
-        class FailingWindows:
-            """Window rows that raise when read on the failing thread."""
+    def test_no_thread_is_started(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("moments started a thread")
 
-            def __init__(self, windows):
-                self.windows = windows
-
-            def __getitem__(self, key):
-                on_caller = threading.current_thread() is threading.main_thread()
-                if on_caller == (failing == "caller"):
-                    raise RuntimeError(f"{failing} span failed")
-                return self.windows[key]
-
-        real_view = moments.sliding_window_view
-        monkeypatch.setattr(moments, "sliding_window_view", lambda x, w: FailingWindows(real_view(x, w)))
         monkeypatch.setattr(spans, "_cpu_count", lambda: 4)
-        monkeypatch.setattr(moments, "_SPAN_ROWS", 1)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
-            moment_tracks(np.random.default_rng(326).normal(size=200), M=10)
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        fluct = np.random.default_rng(326).normal(size=20_000)
+        moment_tracks(fluct, M=100)
+        rolling_central_moment(fluct, 2, 100)
 
 
 class TestMomentTracks:
@@ -187,8 +166,8 @@ class TestMomentTracks:
             )
 
     def test_scratch_is_bounded_by_the_chunk_rows(self):
-        # the centered block and its power, _CHUNK_ROWS rows of M+1 across
-        # all threads, besides the tracks themselves
+        # the centered block and its power, _CHUNK_ROWS rows of M+1 each,
+        # besides the tracks themselves
         fluct = np.random.default_rng(327).normal(size=20_000)
         tracemalloc.start()
         try:

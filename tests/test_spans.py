@@ -1,4 +1,4 @@
-"""The span runner shared by rolling moments and the GBM ensemble."""
+"""The span runner of the GBM ensemble."""
 import sys
 import threading
 from functools import partial
