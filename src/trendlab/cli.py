@@ -11,8 +11,10 @@ the mode a plain open gives), before it renames any of them into
 place, so a failed computation or write leaves no new output; only a
 failed rename, which runs after every file has been written, can leave
 earlier files of that subcommand behind. Given identical inputs, flags,
-and seed, outputs are byte-identical across runs on one host and numpy
-build.
+and seed, outputs are byte-identical across runs on one host, numpy
+build and BLAS kernel: numpy's OpenBLAS picks its kernels by CPU (or by
+OPENBLAS_CORETYPE), and the series outputs pass through it in the slide,
+the kernel projection and the noise gain.
 """
 from __future__ import annotations
 

@@ -1,9 +1,15 @@
-"""Shared helpers: synthetic series construction and price-file writing."""
+"""Shared helpers: synthetic series construction, price-file writing and
+child processes."""
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trendlab
 from trendlab.series_io import PriceSeries
 
 
@@ -24,6 +30,21 @@ def write_price_csv(path, values, price_col="Close", date_col="Date", delimiter=
         lines.append(f"{day}{delimiter}{float(v)!r}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def run_python(*args, env=None, cwd=None):
+    """Run python with args in a child process that imports this trendlab,
+    RuntimeWarning an error there, under env (default: this process's);
+    assert it exits 0 and return its stdout."""
+    env = os.environ if env is None else env
+    package_root = str(Path(trendlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        env={**env, "PYTHONPATH": path}, cwd=cwd, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
 
 
 @pytest.fixture

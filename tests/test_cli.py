@@ -5,19 +5,15 @@ import io
 import os
 import platform
 import stat
-import subprocess
-import sys
 import tempfile
 import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import trendlab
-from conftest import write_price_csv
+from conftest import run_python, write_price_csv
 from trendlab.cli import build_parser, main
 
 
@@ -400,12 +396,6 @@ def test_parser_is_built_once_per_process():
     assert build_parser() is build_parser()
 
 
-def _package_path():
-    """PYTHONPATH for a child process that imports this trendlab."""
-    package_root = str(Path(trendlab.__file__).resolve().parents[1])
-    return os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
-
-
 class TestImportPath:
     def test_series_subcommands_never_load_scipy(self, noisy_csv, tmp_path):
         # importing scipy.special takes longer than processing a small
@@ -428,13 +418,18 @@ class TestImportPath:
             argv = ["gbm", "--steps", "20", "--paths", "30", "--out-dir", out]
             assert trendlab.cli.main(argv) == 0
         """)
-        run = subprocess.run(
-            [sys.executable, "-c", script, str(noisy_csv), str(tmp_path)],
-            env={**os.environ, "PYTHONPATH": _package_path()}, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
+        run_python("-c", script, str(noisy_csv), str(tmp_path))
         assert (tmp_path / "gbm_stats.kv").exists()
+
+
+def _same_files(a, b):
+    """The relative names of the files under a, which must be those under b
+    with the same bytes."""
+    names = sorted(str(p.relative_to(a)) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(str(p.relative_to(b)) for p in b.rglob("*") if p.is_file())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
 
 
 def _run_every_subcommand(src, out, env):
@@ -451,11 +446,7 @@ def _run_every_subcommand(src, out, env):
             argv = [cmd, "--input", src, "--smoothing", "5", "--out-dir", out + "/smoothing-5"]
             assert trendlab.cli.main(argv) == 0
     """)
-    run = subprocess.run(
-        [sys.executable, "-c", script, str(src), str(out)],
-        env={**env, "PYTHONPATH": _package_path()}, capture_output=True, text=True, timeout=300,
-    )
-    assert run.returncode == 0, run.stderr
+    run_python("-c", script, str(src), str(out), env=env)
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
@@ -474,12 +465,39 @@ def test_outputs_do_not_depend_on_the_numpy_dispatch_level(tmp_path):
     native, levelled = tmp_path / "native", tmp_path / "no-avx512"
     _run_every_subcommand(src, native, env)
     _run_every_subcommand(src, levelled, {**env, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+    assert len(_same_files(native, levelled)) == 11
 
-    names = sorted(str(p.relative_to(native)) for p in native.rglob("*") if p.is_file())
-    assert names == sorted(str(p.relative_to(levelled)) for p in levelled.rglob("*") if p.is_file())
-    assert len(names) == 11
-    for name in names:
-        assert (native / name).read_bytes() == (levelled / name).read_bytes(), name
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
+@pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+                    reason="the affinity mask holds one CPU, so there is no other split")
+def test_gbm_bytes_on_one_cpu_equal_those_on_all(tmp_path):
+    # the one-CPU child takes _cpu_count from its restricted mask and draws
+    # on the caller's thread alone; at 3001 x 2000 the CLI streams each span
+    # through several blocks plus a tail, with other block boundaries on
+    # one CPU than on all, and simulate_paths, which no subcommand calls,
+    # materialises the ensemble through its stage groups
+    script = textwrap.dedent("""
+        import hashlib, os, sys
+        import trendlab._spans, trendlab.cli
+        from trendlab.gbm import GbmParams, simulate_paths
+        out, cpu = sys.argv[1:]
+        if cpu:
+            os.sched_setaffinity(0, {int(cpu)})
+            assert trendlab._spans._cpu_count() == 1
+        for name, flags in (("default", []), ("3001x250", ["--paths", "3001", "--steps", "250"]),
+                            ("3001x2000", ["--paths", "3001", "--steps", "2000"])):
+            assert trendlab.cli.main(["gbm", *flags, "--out-dir", os.path.join(out, name)]) == 0
+        with open(os.path.join(out, "simulate_paths.sha256"), "w") as handle:
+            for paths, steps in ((3001, 2000), (20000, 7)):
+                ensemble = simulate_paths(GbmParams(mu=0.05, sigma=0.2, steps=steps, paths=paths,
+                                                    seed=0))
+                handle.write(f"{paths} {steps} {hashlib.sha256(ensemble.tobytes()).hexdigest()}\\n")
+    """)
+    one, every = tmp_path / "one-cpu", tmp_path / "all-cpus"
+    run_python("-c", script, str(one), str(min(os.sched_getaffinity(0))))
+    run_python("-c", script, str(every), "")
+    assert len(_same_files(one, every)) == 4
 
 
 class TestErrorHandling:

@@ -97,6 +97,26 @@ class TestGbmParams:
         assert replace(params)._trapezoid[0] is not trend
 
 
+def trapezoid_weights(params):
+    """c_i with residual_integral(path) = sum_i c_i (path_i - s0 e^(mu t_i))."""
+    dt = np.diff(params.grid())
+    c = np.zeros(params.steps + 1)
+    c[:-1] += dt / 2
+    c[1:] += dt / 2
+    return c
+
+
+def residual_variance(params):
+    """Var[I] = s0^2 sum_i sum_j c_i c_j e^(mu (t_i + t_j)) (e^(sigma^2 min(t_i, t_j)) - 1)
+    for the trapezoid integral I of the residual, in O(steps): with
+    a_i = c_i e^(mu t_i) and t increasing, the sum is
+    sum_i a_i (e^(sigma^2 t_i) - 1) (a_i + 2 sum_{j > i} a_j)."""
+    t = params.grid()
+    a = trapezoid_weights(params) * np.exp(params.mu * t)
+    later = np.append(np.cumsum(a[:0:-1])[::-1], 0.0)  # sum_{j > i} a_j
+    return params.s0**2 * float(np.sum(a * np.expm1(params.sigma**2 * t) * (a + 2.0 * later)))
+
+
 class TestSimulatePaths:
     def test_shape_and_start(self):
         params = GbmParams(mu=0.05, sigma=0.2, steps=16, paths=7, seed=3)
@@ -241,6 +261,35 @@ class TestResidualIntegral:
         params = GbmParams(mu=0.05, sigma=0.2, steps=100, paths=1, seed=0)
         with pytest.raises(ValueError, match="grid mismatch"):
             residual_integral(np.ones(55), params)
+
+    @pytest.mark.parametrize("mu, sigma, s0, t_end", [
+        (0.05, 0.2, 1.0, 1.0), (0.3, 0.6, 2.5, 0.5), (-0.1, 0.05, 1.0, 3.0), (0.0, 1.0, 0.1, 1.0),
+    ])
+    def test_closed_form_variance_equals_the_double_sum(self, mu, sigma, s0, t_end):
+        for steps in range(1, 51):
+            params = GbmParams(mu=mu, sigma=sigma, s0=s0, t_end=t_end, steps=steps)
+            t, c = params.grid(), trapezoid_weights(params)
+            double_sum = s0**2 * float(np.sum(
+                np.outer(c, c) * np.exp(mu * np.add.outer(t, t))
+                * np.expm1(sigma**2 * np.minimum.outer(t, t))
+            ))
+            assert residual_variance(params) == pytest.approx(double_sum, rel=1e-12, abs=0.0)
+            assert residual_variance(replace(params, sigma=0.0)) == 0.0
+
+    @pytest.mark.parametrize("mu, sigma, steps, seed", [
+        (0.05, 0.2, 200, 701), (0.3, 0.6, 200, 702), (-0.1, 0.05, 100, 703),
+    ])
+    def test_ensemble_mean_and_variance_match_the_closed_form(self, mu, sigma, steps, seed):
+        # E[I] = 0 because E[S_t] = s0 e^(mu t); each moment within 4
+        # standard errors, the variance's taken from the sample fourth moment
+        params = GbmParams(mu=mu, sigma=sigma, steps=steps, paths=20_000, seed=seed)
+        integrals = np.array([residual_integral(row, params) for row in simulate_paths(params)])
+        n = len(integrals)
+        centered = integrals - integrals.mean()
+        variance = float(np.sum(centered**2)) / (n - 1)
+        assert abs(float(integrals.mean())) <= 4.0 * math.sqrt(variance / n)
+        stderr = math.sqrt((float(np.mean(centered**4)) - variance**2) / n)
+        assert abs(variance - residual_variance(params)) <= 4.0 * stderr
 
 
 class TestOverflow:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import trendlab._spans as spans
 import trendlab.moments as moments
+from conftest import write_price_csv
+from trendlab.cli import main
 from trendlab.moments import emit_moments, moment_tracks, rolling_central_moment
 
 
@@ -124,15 +126,20 @@ class TestChunkSize:
         for name, want in brute_force_tracks(fluct, m).items():
             np.testing.assert_array_equal(getattr(track, name), want, err_msg=name)
 
-    def test_no_thread_is_started(self, monkeypatch):
+    def test_no_thread_is_started(self, monkeypatch, tmp_path):
+        # neither the moments nor any series subcommand, whatever the CPU count
         def refuse(thread):
-            raise AssertionError("moments started a thread")
+            raise AssertionError("a thread was started")
 
         monkeypatch.setattr(spans, "_cpu_count", lambda: 4)
         monkeypatch.setattr(threading.Thread, "start", refuse)
         fluct = np.random.default_rng(326).normal(size=20_000)
         moment_tracks(fluct, M=100)
         rolling_central_moment(fluct, 2, 100)
+        i = np.arange(3000)
+        src = write_price_csv(tmp_path / "prices.csv", 100 + 5 * np.sin(i / 40) + i * 7919 % 101 / 50)
+        for cmd in ("decompose", "moments", "forecast", "backtest"):
+            assert main([cmd, "--input", str(src), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestMomentTracks:
