@@ -13,8 +13,9 @@ failed rename, which runs after every file has been written, can leave
 earlier files of that subcommand behind. Given identical inputs, flags,
 and seed, outputs are byte-identical across runs on one host, numpy
 build and BLAS kernel: numpy's OpenBLAS picks its kernels by CPU (or by
-OPENBLAS_CORETYPE), and the series outputs pass through it in the slide,
-the kernel projection and the noise gain.
+OPENBLAS_CORETYPE), and the series outputs pass through it in the
+slide. The kernel weights and noise gains no longer do: they are the
+same under every BLAS kernel.
 """
 from __future__ import annotations
 

@@ -20,7 +20,16 @@ large is rejected, which the degree brings about (N = 15 at W = 18), not
 kappa. The order-0 noise gain grows with kappa / W (kernel_noise_gain
 reports it). The discrete weights are then projected onto the affine set
 of weight sequences that reproduce monomials up to degree N exactly
-(minimum-norm correction), so discrete exactness is tight.
+(minimum-norm correction), so discrete exactness is tight. The projection
+runs over the Gram (discrete Chebyshev) polynomials of the W-point grid,
+which are orthogonal there, so it needs no linear solve: their squared
+norms and their derivatives at the newest sample are exact integers,
+rounded once each, and their values, the inner products and the
+corrections are numpy ufunc arithmetic. No step calls LAPACK or a BLAS
+matrix product, so the weights and noise gains do not depend on the BLAS
+kernel numpy's OpenBLAS picks for the CPU (the slide's np.convolve still
+does). A degree above 16 is rejected before any array or density is
+formed.
 
 Weights are causal: weight j multiplies the sample at offset
 tau_j = (j - W + 1) * spacing, and the estimate refers to the newest
@@ -30,13 +39,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
 from .series_io import emit_table
 
-_COND_LIMIT = 1e12
+_MAX_DEGREE = 16  # checked before the O(N^3) densities and the W x (N+1) arrays
 _HORNER_TOL = 1e-4
 
 
@@ -139,6 +148,48 @@ def _density_polynomials(degree: int, smoothing: int) -> list[list[int]]:
              for i in range(n + 1)] for v in range(n + 1)]
 
 
+def _project(raws: list[np.ndarray], spec: EstimatorSpec) -> tuple[np.ndarray, ...]:
+    """The minimum-norm corrections of raws[v] that reproduce every
+    polynomial of degree <= N at derivative order v, read-only.
+
+    w_v = raw_v - sum_k t_k (<t_k, raw_v> - c_vk) / |t_k|^2 over the Gram
+    polynomials t_0 .. t_N of the grid x = 0 .. W-1 (Gorry, Anal. Chem. 62,
+    1990): t_0 = 1, t_1 = 2x - W + 1 and (k+1) t_{k+1} = (2k+1)(2x - W + 1)
+    t_k - k(W^2 - k^2) t_{k-1}, orthogonal on the grid with the integer
+    |t_k|^2 = (W+k)! / ((2k+1) (W-k-1)!). c_vk, the v-th time derivative of
+    t_k at the newest sample x = W - 1, is d_vk / (k! spacing^v) for the
+    integer x-derivatives d_vk of k! t_k, which follow the same recurrence.
+    Only <t_k, raw_v> (a pairwise np.add.reduce) and the updates round at
+    run time; t_k is carried divided by 2^(k b), b the bit length of W, an
+    exact scaling that keeps it in range at any W.
+    """
+    n, w, dt = spec.degree, spec.window, spec.spacing
+    b = w.bit_length()
+    # d[k][v] = (k! t_k)^(v) at x = W - 1, where 2x - W + 1 = W - 1; k! t_k
+    # follows s_{k+1} = (2k+1)(2x - W + 1) s_k - k^2 (W^2 - k^2) s_{k-1}
+    d, prev = [[1] + [0] * n], [0] * (n + 1)
+    for k in range(n):
+        s = d[k]
+        d.append([(2 * k + 1) * ((w - 1) * s[v] + 2 * v * s[v - 1])
+                  - k * k * (w * w - k * k) * prev[v] for v in range(n + 1)])
+        prev = s
+    x = (2.0 * np.arange(w) - (w - 1)) * 2.0**-b
+    ts = [np.ones(w), x]
+    for k in range(1, n):
+        ts.append(((2 * k + 1) * x * ts[k] - k * (w * w - k * k) * 2.0**(-2 * b) * ts[k - 1]) / (k + 1))
+    norms = [prod(range(w - k, w + k + 1)) // (2 * k + 1) / (1 << 2 * k * b) for k in range(n + 1)]
+    scales = [factorial(k) << k * b for k in range(n + 1)]
+    weights = []
+    for v, raw in enumerate(raws):
+        w_v = raw
+        for k in range(n + 1):
+            c = d[k][v] / scales[k] / dt**v
+            w_v = w_v - ts[k] * ((np.add.reduce(ts[k] * raw) - c) / norms[k])
+        w_v.setflags(write=False)
+        weights.append(w_v)
+    return tuple(weights)
+
+
 def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     """Construct the weight sequences for one EstimatorSpec.
 
@@ -149,31 +200,18 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     every derivative order to machine precision.
 
     Raises:
-        ValueError: spec invalid, the exactness system is too
-            ill-conditioned to solve reliably, or the densities' error
+        ValueError: spec invalid, degree above 16, or the densities' error
             bound (Horner's on p_v and the weight's rounding), relative to
             their largest sample, is above 1e-4.
     """
     n, w = spec.degree, spec.window
-    dt = spec.spacing
-
-    horizon = (w - 1) * dt
+    if n > _MAX_DEGREE:
+        raise ValueError(f"degree {n} above {_MAX_DEGREE}, the highest a kernel bank is built for")
+    horizon = (w - 1) * spec.spacing
     u = (w - 1 - np.arange(w)) / (w - 1)  # u_j pairs offset tau_j with window time
     du = 1.0 / (w - 1)
-    scaled = (np.arange(w) - (w - 1)) / (w - 1)  # tau_j / horizon, in [-1, 0]
 
-    # Exactness constraints in scaled coordinates: A^T w_v = rhs_v where
-    # rhs_v[d] = v! / horizon^v at d = v, else 0.
-    a_mat = np.vander(scaled, n + 1, increasing=True)
-    q_fact, r_fact = np.linalg.qr(a_mat)
-    cond = np.linalg.cond(r_fact)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise ValueError(
-            f"exactness system too ill-conditioned (cond {cond:.3g}) for degree {n}, "
-            f"window {w}"
-        )
-
-    # the densities take O(N^3) big-integer products: only for a spec that passed
+    # the densities take O(N^3) big-integer products
     k = spec.smoothing
     ps = _density_polynomials(n, k)
     inaccurate = (f"densities too inaccurate in floating point for degree {n}, smoothing {k} "
@@ -192,7 +230,7 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     # 5.1) plus 2(kappa-1) for the weight: kappa-1 from the rounded base,
     # kappa-2 from its products and one from q = w p
     ku = 2 * (n + k - 1) * 2.0**-53
-    weights = []
+    raws = []
     for v in range(n + 1):
         # Horner's rule in the order numpy.polynomial's polyval runs it,
         # without importing that package; `total` runs it on |c_i|, and
@@ -206,15 +244,9 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
         density, total = density * weight, total * weight
         if not (ku < 1 and ku / (1 - ku) * total.max() <= _HORNER_TOL * np.abs(density).max()):
             raise ValueError(inaccurate)
-        raw = ((-1.0) ** v) * density * du / horizon**v
-        rhs = np.zeros(n + 1)
-        rhs[v] = factorial(v) / horizon**v
-        resid = a_mat.T @ raw - rhs
-        w_v = raw - q_fact @ np.linalg.solve(r_fact.T, resid)
-        w_v.setflags(write=False)
-        weights.append(w_v)
+        raws.append(((-1.0) ** v) * density * du / horizon**v)
 
-    bank = KernelBank(spec=spec, weights=tuple(weights))
+    bank = KernelBank(spec=spec, weights=_project(raws, spec))
     _verify_exactness(bank)
     return bank
 
@@ -225,7 +257,7 @@ def _verify_exactness(bank: KernelBank) -> None:
     tau = bank.offsets
     for v in range(n + 1):
         for d in range(n + 1):
-            got = bank.weights[v] @ tau**d
+            got = np.add.reduce(bank.weights[v] * tau**d)
             want = float(factorial(v)) if d == v else 0.0
             scale = max(1.0, abs(want), float(np.abs(bank.weights[v] * tau**d).sum()))
             if not abs(got - want) <= 1e-9 * scale:
@@ -242,7 +274,8 @@ def kernel_noise_gain(bank: KernelBank, order: int) -> float:
     exactly gain * s.
     """
     _check_order(order, bank.spec.degree)
-    return float(np.linalg.norm(bank.weights[order]))
+    w = bank.weights[order]
+    return sqrt(np.add.reduce(w * w))
 
 
 def emit_weights(bank: KernelBank) -> str:

@@ -468,6 +468,38 @@ def test_outputs_do_not_depend_on_the_numpy_dispatch_level(tmp_path):
     assert len(_same_files(native, levelled)) == 11
 
 
+def test_series_subcommands_call_no_numpy_linalg(noisy_csv, tmp_path):
+    # LAPACK and BLAS pick their kernels by CPU, and their code pages add to
+    # the resident set of every run; a child whose numpy.linalg functions
+    # all raise must write the bytes an unpatched child writes
+    script = textwrap.dedent("""
+        import sys
+        import numpy.linalg
+        import trendlab.cli
+        src, out, patch = sys.argv[1:]
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"numpy.linalg.{name} called")
+            return call
+
+        refused = []
+        for name in dir(numpy.linalg) if patch else ():
+            obj = getattr(numpy.linalg, name)
+            # the exception class stays, so an except clause naming it still works
+            if not name.startswith("_") and callable(obj) and not isinstance(obj, type):
+                setattr(numpy.linalg, name, refuse(name))
+                refused.append(name)
+        assert not patch or {"qr", "solve", "cond", "norm"} <= set(refused), refused
+        for cmd in ("decompose", "moments", "forecast", "backtest"):
+            assert trendlab.cli.main([cmd, "--input", src, "--out-dir", out]) == 0
+    """)
+    refused, plain = tmp_path / "refused", tmp_path / "plain"
+    run_python("-c", script, str(noisy_csv), str(refused), "patch")
+    run_python("-c", script, str(noisy_csv), str(plain), "")
+    assert len(_same_files(refused, plain)) == 6
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity mask here")
 @pytest.mark.skipif(hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
                     reason="the affinity mask holds one CPU, so there is no other split")
@@ -476,11 +508,13 @@ def test_gbm_bytes_on_one_cpu_equal_those_on_all(tmp_path):
     # on the caller's thread alone; at 3001 x 2000 the CLI streams each span
     # through several blocks plus a tail, with other block boundaries on
     # one CPU than on all, and simulate_paths, which no subcommand calls,
-    # materialises the ensemble through its stage groups
+    # materialises the ensemble through its stage groups. Each hashed
+    # ensemble splits into two spans or more on all CPUs: 40000 x 7 takes
+    # 2 spans of at least ceil(2^17 / 7) = 18,725 rows, 20000 x 7 took one
     script = textwrap.dedent("""
         import hashlib, os, sys
         import trendlab._spans, trendlab.cli
-        from trendlab.gbm import GbmParams, simulate_paths
+        from trendlab.gbm import GbmParams, _split, simulate_paths
         out, cpu = sys.argv[1:]
         if cpu:
             os.sched_setaffinity(0, {int(cpu)})
@@ -489,9 +523,10 @@ def test_gbm_bytes_on_one_cpu_equal_those_on_all(tmp_path):
                             ("3001x2000", ["--paths", "3001", "--steps", "2000"])):
             assert trendlab.cli.main(["gbm", *flags, "--out-dir", os.path.join(out, name)]) == 0
         with open(os.path.join(out, "simulate_paths.sha256"), "w") as handle:
-            for paths, steps in ((3001, 2000), (20000, 7)):
-                ensemble = simulate_paths(GbmParams(mu=0.05, sigma=0.2, steps=steps, paths=paths,
-                                                    seed=0))
+            for paths, steps in ((3001, 2000), (40000, 7)):
+                params = GbmParams(mu=0.05, sigma=0.2, steps=steps, paths=paths, seed=0)
+                assert cpu or len(_split(params)) >= 2, (paths, steps)
+                ensemble = simulate_paths(params)
                 handle.write(f"{paths} {steps} {hashlib.sha256(ensemble.tobytes()).hexdigest()}\\n")
     """)
     one, every = tmp_path / "one-cpu", tmp_path / "all-cpus"
