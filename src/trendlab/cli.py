@@ -158,18 +158,16 @@ def _cmd_forecast(args: argparse.Namespace) -> dict[str, str]:
     config = _config(args)
     series = load_prices(args.input, date_col=args.date_col, price_col=args.price_col)
     slow, fast, std, start = forecast_setup(series, config)
-    n = len(series)
-    origins = np.arange(start, n)
-    points = [
-        forecast_point(slow, fast, std, origins, h, level=config.level, deadband_mult=config.deadband_rule)
-        for h in config.horizons
-    ]
+    n, horizons = len(series), config.horizons
+    # rows in table order: every origin at the first horizon, then the next
+    point = forecast_point(
+        slow, fast, std, np.tile(np.arange(start, n), len(horizons)), np.repeat(horizons, n - start),
+        level=config.level, deadband_mult=config.deadband_rule,
+    )
     text = emit_table(
         ("date", "horizon", "trend_hat", "lo", "hi", "position"),
-        (date_labels(series.dates, start, n) * len(points),
-         np.repeat(config.horizons, len(origins)),
-         *(np.concatenate([getattr(p, name) for p in points])
-           for name in ("trend_hat", "lo", "hi", "position"))),
+        (date_labels(series.dates, start, n) * len(horizons),
+         *(getattr(point, name) for name in ("horizon", "trend_hat", "lo", "hi", "position"))),
     )
     return {f"{series.name}_forecast.csv": text}
 

@@ -7,16 +7,20 @@ classifier compares a fast-filter price forecast against the slow-filter
 trend forecast inside a deadband proportional to the predicted fluctuation
 std. An origin t is one index (plain float results) or an integer array
 of them (array results, in one pass); an unsigned one is made signed
-before any arithmetic.
+before any arithmetic. A horizon h is one number of grid steps for every
+origin, or an integer array of t's shape with one horizon per origin.
 
 Inside this module and backtest, a position call is an int8 code (0 above,
 1 under, 2 no_decision); the names appear only where the public API
 returns or takes them (classify_position, ForecastPoint.position,
 backtest.score_positions), each array of them made by one take from the
-three names. forecast_point slides the std track for its own origins; a
-caller forecasting several horizons at origins that share their first one
-(backtest.walk_forward) slides it once, for the most origins, and runs the
-same core on a prefix of those slides per horizon.
+three names. forecast_point slides the std track once per call, over the
+span of its origins, so a caller forecasting several horizons at the same
+origins (cli's forecast table) passes the origins tiled and the horizons
+repeated and slides it once. A caller whose horizons have different
+origins that share their first one (backtest.walk_forward) slides it
+once, for the most origins, and runs the same core on a prefix of those
+slides per horizon.
 """
 from __future__ import annotations
 
@@ -39,10 +43,11 @@ _NO_DECISION_CODE = 2
 
 @dataclass(frozen=True)
 class ForecastPoint:
-    """One horizon's forecasts, bands and position calls at an origin or array.
+    """Forecasts, bands and position calls at an origin or array of them.
 
-    origin indexes the source grid; horizon is in grid steps. deadband is
-    the half-width (currency units) inside which no position is called.
+    origin indexes the source grid; horizon is in grid steps, one for every
+    origin or an array of origin's shape. deadband is the half-width
+    (currency units) inside which no position is called.
     """
 
     origin: int
@@ -55,15 +60,26 @@ class ForecastPoint:
     deadband: float
 
 
-def taylor_extrapolate(value, d1, d2, h: float):
-    """value + h*d1 + (h^2/2)*d2; h >= 0 in the value's time units."""
-    if not h >= 0:
-        raise ValueError(f"horizon must be >= 0, got {h!r}")
+def taylor_extrapolate(value, d1, d2, h):
+    """value + h*d1 + (h^2/2)*d2; h >= 0 in the value's time units, a
+    number or an array that broadcasts with value.
+
+    Raises:
+        ValueError: h, or an entry of it (named by value and index), is
+            negative or NaN.
+    """
+    ok = h >= 0
+    if not np.all(ok):
+        if not np.ndim(h):
+            raise ValueError(f"horizon must be >= 0, got {h!r}")
+        bad = int(np.argmin(ok))  # flat index of the first negative or NaN entry
+        raise ValueError(f"horizon must be >= 0, got {h.flat[bad].item()!r} at index {bad}")
     return value + h * d1 + 0.5 * h * h * d2
 
 
-def forecast_trend(dec: Decomposition, t, h: float):
-    """Extrapolate the trend h grid steps past source index t.
+def forecast_trend(dec: Decomposition, t, h):
+    """Extrapolate the trend h grid steps past source index t (h a number,
+    or an array of t's shape).
 
     Derivative orders the bank does not estimate are taken as zero.
 
@@ -74,7 +90,7 @@ def forecast_trend(dec: Decomposition, t, h: float):
     return _extrapolate((dec.trend, dec.d1, dec.d2), dec.position(t), dec.bank.spec.spacing, h)
 
 
-def _extrapolate(tracks, at, spacing: float, h: float, floor: float = -np.inf):
+def _extrapolate(tracks, at, spacing: float, h, floor: float = -np.inf):
     """Taylor step from the (value, d1, d2) tracks at positions at, None
     tracks read as zero, clamped below at floor; a float for one position."""
     value, d1, d2 = (x[at] if x is not None else 0.0 for x in tracks)
@@ -242,7 +258,7 @@ def forecast_point(
     fast: Decomposition,
     std: np.ndarray,
     t,
-    h: int,
+    h,
     level: float = 0.95,
     deadband_mult: float = 0.1,
 ) -> ForecastPoint:
@@ -251,11 +267,15 @@ def forecast_point(
     slow and fast must decompose the same source; std must be the rolling
     std track of the slow fluctuation (moment_tracks(...).std, or the root
     of rolling_central_moment(..., 2, M)), with warm-up len(slow) - len(std).
-    Each origin t needs t >= first_forecast_origin(W_slow, W_fast, M).
+    Each origin t needs t >= first_forecast_origin(W_slow, W_fast, M). h is
+    one horizon (grid steps) for every origin, or, for an array t, an
+    integer array of t's shape: entry k forecasts h[k] steps past t[k]. The
+    std track is slid once, whatever the horizons.
 
     Raises:
-        ValueError: t not an integer or a non-empty integer array, or
-            insufficient history at t.
+        ValueError: t not an integer or a non-empty integer array; h not
+            an integer or an integer array of t's shape, or negative (an
+            entry named by value and index); or insufficient history at t.
     """
     if slow.source is not fast.source:
         raise ValueError("slow and fast decompositions must share one source series")
@@ -264,6 +284,7 @@ def forecast_point(
     if deadband_mult == math.inf:
         raise ValueError(f"deadband_mult must be finite, got {deadband_mult!r}")
     at = _signed_indices(t)
+    _check_horizon(h, at)
     trend_hat, lo, hi, codes, deadband = _forecast(
         slow, fast, _std_slides(slow, std, at), at, h, level, deadband_mult
     )
@@ -279,17 +300,29 @@ def forecast_point(
     )
 
 
+def _check_horizon(h, at) -> None:
+    """Reject h unless it is an integer, or an integer array of the shape
+    of the origins at as _signed_indices gives them (an int for one)."""
+    if isinstance(h, (int, np.integer)) and not isinstance(h, bool):
+        return
+    if isinstance(h, np.ndarray) and h.dtype.kind in "iu" and np.ndim(at) and h.shape == at.shape:
+        return
+    got = f"a {h.dtype} array of shape {h.shape}" if isinstance(h, np.ndarray) else repr(h)
+    raise ValueError(f"h must be an integer or an integer array of t's shape {np.shape(at)}, got {got}")
+
+
 def _std_slides(slow: Decomposition, std: np.ndarray, t):
     """The slow bank's slides of the std track over the windows ending at
     origins t (signed), and each origin's entry in them: see _slides."""
     return _slides(slow.bank, std, t - slow.warmup - (len(slow) - len(std)))
 
 
-def _forecast(slow: Decomposition, fast: Decomposition, std_slides, t, h: int,
+def _forecast(slow: Decomposition, fast: Decomposition, std_slides, t, h,
               level: float, deadband_mult: float):
-    """forecast_point's arithmetic at origins t (signed): (trend_hat, lo,
-    hi, position codes, deadband). std_slides is what _std_slides returns
-    for t, or for an array of more origins of which t is a prefix."""
+    """forecast_point's arithmetic at origins t (signed) and horizons h (a
+    number, or an array of t's shape): (trend_hat, lo, hi, position codes,
+    deadband). std_slides is what _std_slides returns for t, or for an
+    array of more origins of which t is a prefix."""
     slides, entries = std_slides
     if np.ndim(t):
         entries = entries[: len(t)]

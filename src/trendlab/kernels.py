@@ -28,8 +28,9 @@ rounded once each, and their values, the inner products and the
 corrections are numpy ufunc arithmetic. No step calls LAPACK or a BLAS
 matrix product, so the weights and noise gains do not depend on the BLAS
 kernel numpy's OpenBLAS picks for the CPU (the slide's np.convolve still
-does). A degree above 16 is rejected before any array or density is
-formed.
+does). A degree above 16, and a spacing whose N-th power or that of
+(W-1) * spacing is 0 or not finite, are rejected before any array or
+density is formed.
 
 Weights are causal: weight j multiplies the sample at offset
 tau_j = (j - W + 1) * spacing, and the estimate refers to the newest
@@ -190,6 +191,15 @@ def _project(raws: list[np.ndarray], spec: EstimatorSpec) -> tuple[np.ndarray, .
     return tuple(weights)
 
 
+def _positive_finite_power(x: float, n: int) -> bool:
+    """Whether x^n is a positive finite double. A Python float power raises
+    OverflowError where numpy's warns; underflow gives 0.0 silently."""
+    try:
+        return 0.0 < x**n < np.inf
+    except OverflowError:
+        return False
+
+
 def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     """Construct the weight sequences for one EstimatorSpec.
 
@@ -200,13 +210,21 @@ def build_kernel_bank(spec: EstimatorSpec) -> KernelBank:
     every derivative order to machine precision.
 
     Raises:
-        ValueError: spec invalid, degree above 16, or the densities' error
-            bound (Horner's on p_v and the weight's rounding), relative to
-            their largest sample, is above 1e-4.
+        ValueError: spec invalid, degree above 16, spacing so small or
+            large that ((W-1) * spacing)^N or spacing^N is 0 or not finite,
+            or the densities' error bound (Horner's on p_v and the weight's
+            rounding), relative to their largest sample, is above 1e-4.
     """
     n, w = spec.degree, spec.window
     if n > _MAX_DEGREE:
         raise ValueError(f"degree {n} above {_MAX_DEGREE}, the highest a kernel bank is built for")
+    # the raw weights divide by ((W-1) * spacing)^v, the projection by spacing^v
+    dt = float(spec.spacing)
+    if not (_positive_finite_power((w - 1) * dt, n) and _positive_finite_power(dt, n)):
+        raise ValueError(
+            f"spacing {spec.spacing!r} out of range for degree {n}, window {w}: "
+            "((window - 1) * spacing)^degree and spacing^degree must be positive finite doubles"
+        )
     horizon = (w - 1) * spec.spacing
     u = (w - 1 - np.arange(w)) / (w - 1)  # u_j pairs offset tau_j with window time
     du = 1.0 / (w - 1)

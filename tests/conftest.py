@@ -8,9 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import trendlab
 from trendlab.series_io import PriceSeries
+
+# One policy for every property test: no per-example deadline, since a
+# shared host's timing spells would fail slow examples at random. Each
+# @settings then sets only its max_examples.
+settings.register_profile("trendlab", deadline=None)
+settings.load_profile("trendlab")
 
 
 def synthetic_sinusoid(n: int = 1500, seed: int = 7) -> PriceSeries:

@@ -154,7 +154,7 @@ class TestScorePositions:
         with pytest.raises(ValueError, match="unknown prediction"):
             score_positions(["sideways"], [ABOVE])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         calls=st.lists(
             st.tuples(st.sampled_from([ABOVE, UNDER, NO_DECISION]), st.sampled_from([ABOVE, UNDER])),
@@ -317,7 +317,7 @@ class TestArrayPathMatchesPerOriginLoop:
 
 
 class TestWalkForwardInvariants:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         degree=st.integers(0, 3),
         slow_extra=st.integers(0, 16),

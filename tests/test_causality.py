@@ -15,7 +15,7 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     degree=st.integers(0, 3),
     slow_extra=st.integers(0, 20),

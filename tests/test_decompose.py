@@ -44,7 +44,7 @@ def fluctuations(draw):
 
 
 class TestSlidingTrend:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(level=st.floats(1e-6, 1e12),
            moves=st.lists(st.floats(0.0, 1.0), min_size=BANK.spec.window, max_size=200))
     def test_reconstruction_is_exact(self, level, moves):
@@ -184,7 +184,7 @@ class TestOscillationScore:
         assert report.scale == 200.0
         assert report.score == pytest.approx(1.0 / 200.0, rel=1e-12)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(fluctuations())
     # the only maximal window has length 2L-1, the longest one evaluated
     @example((np.array([1.0, 0.0, 1.0]), 2))

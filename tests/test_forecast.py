@@ -19,6 +19,7 @@ from trendlab.forecast import (
     _realized_codes,
     classify_position,
     confidence_band,
+    first_forecast_origin,
     forecast_moments,
     forecast_point,
     forecast_trend,
@@ -54,6 +55,22 @@ class TestTaylorExtrapolate:
             taylor_extrapolate(1.0, 0.0, 0.0, -1.0)
         with pytest.raises(ValueError, match="horizon must be >= 0, got nan"):
             taylor_extrapolate(1.0, 0.0, 0.0, float("nan"))
+
+    def test_array_horizon_matches_scalar_calls(self):
+        h = np.array([0.0, 1.0, 2.5, 7.0])
+        got = taylor_extrapolate(np.full(4, 10.0), 2.0, np.arange(4.0), h)
+        for k in range(4):
+            assert got[k] == taylor_extrapolate(10.0, 2.0, float(k), float(h[k]))
+
+    @pytest.mark.parametrize("h, message", [
+        (np.array([0.0, 1.0, -2.0, np.nan]), "got -2.0 at index 2"),
+        (np.array([3.0, np.nan, -1.0]), "got nan at index 1"),
+        (np.array([5, 4, -1]), "got -1 at index 2"),
+    ])
+    def test_array_horizon_names_the_first_bad_entry(self, h, message):
+        # the entry and its index, not the repr of the whole array
+        with pytest.raises(ValueError, match=f"^horizon must be >= 0, {re.escape(message)}$"):
+            taylor_extrapolate(np.ones(len(h)), 0.0, 0.0, h)
 
 
 class TestForecastTrend:
@@ -312,7 +329,7 @@ DEADBANDS = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]) | st.floats(0.
 
 
 class TestClassifyPositionProperty:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         rows=st.lists(st.tuples(FORECASTS, FORECASTS, DEADBANDS), min_size=1, max_size=40),
         one_deadband=st.booleans(),
@@ -405,3 +422,76 @@ class TestForecastOrigins:
         message = f"t must be an integer or a non-empty integer array, got {got}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             self.call(name, t)
+
+
+class TestForecastHorizons:
+    """forecast_point takes one horizon for every origin, or an integer
+    array of t's shape with one horizon per origin."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(57)
+        self.series = PriceSeries("s", 60.0 + np.cumsum(rng.normal(0.0, 0.5, 400)) / 10.0)
+        self.slow = sliding_trend(self.series, BANK)
+        self.fast = sliding_trend(self.series, build_kernel_bank(EstimatorSpec(degree=2, window=7)))
+        self.std = moment_tracks(self.slow.fluctuation, M=100).std
+        self.t_min = first_forecast_origin(21, 7, 100)
+
+    def point(self, t, h, **kwargs):
+        return forecast_point(self.slow, self.fast, self.std, t, h, **kwargs)
+
+    @settings(max_examples=60)
+    @given(
+        horizons=st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True),
+        first=st.integers(0, 259),
+        count=st.integers(1, 40),
+        level=st.sampled_from([0.5, 0.95, 0.999]),
+        deadband_mult=st.sampled_from([0.0, 0.1, 3.0]),
+    )
+    def test_tiled_origins_equal_one_call_per_horizon(self, horizons, first, count, level,
+                                                      deadband_mult):
+        origins = np.arange(self.t_min + first, min(self.t_min + first + count, 400))
+        flags = dict(level=level, deadband_mult=deadband_mult)
+        got = self.point(np.tile(origins, len(horizons)), np.repeat(horizons, len(origins)), **flags)
+        want = [self.point(origins, h, **flags) for h in horizons]
+        for name in ("trend_hat", "lo", "hi", "deadband"):
+            joined = np.concatenate([getattr(p, name) for p in want])
+            assert getattr(got, name).tobytes() == joined.tobytes(), name
+        assert got.position.tolist() == [c for p in want for c in p.position.tolist()]
+
+    def test_unsigned_and_narrow_horizons_match_int64(self):
+        origins = np.arange(self.t_min, self.t_min + 30)
+        h = np.arange(30) % 7
+        want = self.point(origins, h)
+        for dtype in (np.uint8, np.uint64, np.int16):
+            got = self.point(origins, h.astype(dtype))
+            for name in ("trend_hat", "lo", "hi", "deadband"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_horizon_is_the_callers_h(self):
+        h = np.array([1, 5], dtype=np.uint8)
+        assert self.point(np.array([self.t_min, self.t_min]), h).horizon is h
+
+    @pytest.mark.parametrize("t, h, got", [
+        (np.arange(140, 143), np.array([1.0, 2.0, 3.0]), "a float64 array of shape (3,)"),
+        (np.arange(140, 143), np.array([True, False, True]), "a bool array of shape (3,)"),
+        (np.arange(140, 143), np.array([1, 2]), "a int64 array of shape (2,)"),
+        (np.arange(140, 143), np.array([[1, 2, 3]]), "a int64 array of shape (1, 3)"),
+        (140, np.array([1]), "a int64 array of shape (1,)"),
+        (np.array(140), np.array(1), "a int64 array of shape ()"),
+        (140, 1.0, "1.0"),
+        (140, True, "True"),
+        (np.arange(140, 143), [1, 2, 3], "[1, 2, 3]"),
+    ], ids=["float array", "bool array", "short", "two-dimensional", "array h, scalar t",
+            "zero-dimensional", "float", "bool", "list"])
+    def test_non_integer_or_misshapen_horizons_rejected(self, t, h, got):
+        shape = np.shape(t) if np.ndim(t) else ()
+        message = f"h must be an integer or an integer array of t's shape {shape}, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.point(t, h)
+
+    def test_negative_entry_named_by_value_and_index(self):
+        t = np.arange(self.t_min, self.t_min + 4)
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -3\.0 at index 2$"):
+            self.point(t, np.array([1, 0, -3, -1]))
+        with pytest.raises(ValueError, match=r"^horizon must be >= 0, got -1\.0$"):
+            self.point(t, -1)

@@ -149,7 +149,7 @@ class TestSimulatePaths:
 
 
 class TestThreadSplit:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(paths=st.integers(1, 30), steps=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
            cpus=st.integers(1, 8), chunk=st.integers(1, 200), stage=st.integers(1, 200),
            sigma=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),

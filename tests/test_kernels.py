@@ -5,6 +5,7 @@ import platform
 import re
 import textwrap
 import time
+import warnings
 from fractions import Fraction
 from math import comb, factorial
 
@@ -125,7 +126,7 @@ def density_error(spec: EstimatorSpec) -> float:
 class TestDensityPolynomials:
     # p_v of degree <= N is pinned by the N+1 conditions (a), a Gram system
     # of the positive weight (1-u)^(kappa-1); q_v = (1-u)^(kappa-1) p_v
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(degree=st.integers(0, 8), smoothing=st.integers(1, 6))
     def test_densities_pinned_by_reproducing_property(self, degree, smoothing):
         ps = _density_polynomials(degree, smoothing)
@@ -278,6 +279,30 @@ class TestHornerBound:
         start = time.perf_counter()
         build_kernel_bank(EstimatorSpec(degree=2, window=21, smoothing=10**6))
         assert time.perf_counter() - start < 0.1
+
+
+class TestSpacingRange:
+    @pytest.mark.parametrize("degree, spacing", [(2, 1e-200), (2, 1e200), (4, 1e-100), (4, 1e100)])
+    def test_powers_past_the_double_range_rejected_before_any_array(self, degree, spacing,
+                                                                    monkeypatch):
+        # spacing^N underflows to 0 (a divide by zero followed) or
+        # ((W-1) * spacing)^N overflows (a float power raised OverflowError)
+        def never_called(*args, **kwargs):
+            raise AssertionError("an array was formed before the spacing was checked")
+
+        monkeypatch.setattr(kernels.np, "arange", never_called)
+        message = f"spacing {spacing!r} out of range for degree {degree}, window 21: "
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                build_kernel_bank(EstimatorSpec(degree=degree, spacing=spacing))
+
+    @pytest.mark.parametrize("spacing", [1e-100, 1e100])
+    def test_powers_inside_the_double_range_build(self, spacing):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bank = build_kernel_bank(EstimatorSpec(spacing=spacing))
+        assert all(np.isfinite(w).all() for w in bank.weights)
 
 
 class TestGoldenWeights:
@@ -465,7 +490,7 @@ class TestExactness:
                         f"d={d} order={order}: {got} != {want}"
                     )
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(degree=st.integers(0, 4), extra=st.integers(0, 38), smoothing=st.integers(1, 4),
            spacing=st.floats(0.25, 4.0), data=st.data())
     def test_slide_reproduces_polynomials_at_every_order(self, degree, extra, smoothing, spacing, data):

@@ -89,7 +89,7 @@ class TestRollingCentralMoment:
 
 
 class TestChunkSize:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n_minus_m=st.integers(1, 60),
         m=st.integers(1, 12),
@@ -108,7 +108,7 @@ class TestChunkSize:
                     rolling_central_moment(fluct, k, m), brute_force_moment(fluct, k, m)
                 )
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         n_minus_m=st.integers(1, 60),
         m=st.integers(1, 12),

@@ -526,7 +526,7 @@ def _outcome(load, path, delimiter):
     return ("series", s.name, s.values.tobytes(), s.dates)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(price_files())
 def test_reader_matches_the_dictreader_oracle(file):
     text, delimiter = file
@@ -558,13 +558,13 @@ def _loads_or_names_the_path(data, delimiter):
             assert str(exc).startswith(path), str(exc)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.binary(max_size=200))
 def test_any_bytes_load_or_fail_naming_the_path(data):
     _loads_or_names_the_path(data, ",")
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(damaged_price_files())
 def test_damaged_price_files_load_or_fail_naming_the_path(file):
     _loads_or_names_the_path(*file)

@@ -21,7 +21,7 @@ def test_cpu_count_without_an_affinity_mask_is_the_machine_count(monkeypatch):
     assert spans._cpu_count() == 1
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rows=st.integers(1, 2000), min_rows=st.integers(1, 300), cpus=st.integers(1, 8))
 def test_split_rows_covers_the_rows_in_order(rows, min_rows, cpus):
     with patch.object(spans, "_cpu_count", lambda: cpus):

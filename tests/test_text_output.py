@@ -118,7 +118,7 @@ def prices(n, seed, flat):
 seeds = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(degree=st.integers(0, 2), extra=st.integers(0, 12), smoothing=st.integers(1, 3),
        n=st.integers(20, 120), flat=st.floats(0.0, 0.5), dated=st.booleans(), seed=seeds)
 def test_decomposition_rows_equal_the_cell_loop(degree, extra, smoothing, n, flat, dated, seed):
@@ -128,7 +128,7 @@ def test_decomposition_rows_equal_the_cell_loop(degree, extra, smoothing, n, fla
     assert emit_decomposition(dec) == old_emit_decomposition(dec)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(M=st.integers(1, 12), n=st.integers(14, 120), flat=st.floats(0.0, 0.6),
        offset=st.integers(0, 30), dated=st.booleans(), seed=seeds)
 def test_moment_rows_equal_the_cell_loop(M, n, flat, offset, dated, seed):
@@ -139,7 +139,7 @@ def test_moment_rows_equal_the_cell_loop(M, n, flat, offset, dated, seed):
     assert emit_moments(track, dates, offset) == old_emit_moments(track, dates, offset)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(degree=st.integers(0, 4), window=st.sampled_from([7, 21, 121]),
        smoothing=st.integers(1, 3), spacing=st.sampled_from([1, 0.5, 1.0, 2.0]))
 def test_weight_rows_equal_the_cell_loop(degree, window, smoothing, spacing):
@@ -149,7 +149,7 @@ def test_weight_rows_equal_the_cell_loop(degree, window, smoothing, spacing):
     assert emit_weights(bank) == old_emit_weights(bank)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(n=st.integers(2, 80), flat=st.floats(0.0, 0.5), dated=st.booleans(), seed=seeds)
 def test_dumped_prices_equal_the_cell_loop_and_load_back_exactly(n, flat, dated, seed):
     series = PriceSeries("s", prices(n, seed, flat), dates=iso_dates(n) if dated else None)
@@ -168,7 +168,7 @@ def test_dumped_prices_equal_the_cell_loop_and_load_back_exactly(n, flat, dated,
     assert again.dates == series.dates
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(degree=st.integers(0, 2), slow_extra=st.integers(0, 10), fast_extra=st.integers(0, 30),
        M=st.integers(1, 12), horizons=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True),
        level=st.sampled_from([0.5, 0.9, 0.95]), deadband=st.sampled_from([0.0, 0.1, 1.5]),
@@ -229,7 +229,7 @@ def table_columns(draw, rows):
     return values, np.array(entries(st.booleans()), dtype=bool)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(block=st.integers(1, 6), at=st.sampled_from(["0", "1", "B-1", "B", "B+1", "2B+1"]),
        data=st.data())
 def test_blocked_table_equals_the_unblocked_join(block, at, data):
